@@ -130,9 +130,144 @@ def test_bucket_pairs_salted_equals_naive():
     assert got == naive and naive  # non-vacuous
 
 
+def _naive_labels(mask):
+    """8-connected labels by per-pixel BFS flood fill, numbered in the
+    raster order of each component's first pixel."""
+    from collections import deque
+
+    H, W = mask.shape
+    labels = [[0] * W for _ in range(H)]
+    n = 0
+    for y in range(H):
+        for x in range(W):
+            if not mask[y, x] or labels[y][x]:
+                continue
+            n += 1
+            labels[y][x] = n
+            todo = deque([(y, x)])
+            while todo:
+                cy, cx = todo.popleft()
+                for dy in (-1, 0, 1):
+                    for dx in (-1, 0, 1):
+                        ny, nx = cy + dy, cx + dx
+                        if 0 <= ny < H and 0 <= nx < W and mask[ny, nx] \
+                                and not labels[ny][nx]:
+                            labels[ny][nx] = n
+                            todo.append((ny, nx))
+    return n, labels
+
+
+def _naive_hull_area(points):
+    """Monotone-chain convex hull of every pixel + shoelace area."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return 0.0
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and \
+                    ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) -
+                     (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+    hull = half(pts)[:-1] + half(pts[::-1])[:-1]
+    s = sum(hull[i][0] * hull[(i + 1) % len(hull)][1] -
+            hull[(i + 1) % len(hull)][0] * hull[i][1]
+            for i in range(len(hull)))
+    return abs(s) / 2.0
+
+
+def _naive_blobs(mask, min_area):
+    """The reference filter band over naive labels, one pixel at a time."""
+    H, W = mask.shape
+    roi_area = float(H * W) if H and W else 1.0
+    n, labels = _naive_labels(mask > 0)
+    pixels = [[] for _ in range(n + 1)]
+    for y in range(H):
+        for x in range(W):
+            pixels[labels[y][x]].append((x, y))
+    out = []
+    for lb in range(1, n + 1):
+        xs = [p[0] for p in pixels[lb]]
+        ys = [p[1] for p in pixels[lb]]
+        area = len(xs)
+        x0, x1 = min(xs), max(xs)
+        y0, y1 = min(ys), max(ys)
+        w, h = x1 - x0 + 1, y1 - y0 + 1
+        if area < min_area or w < 3 or h < 3 \
+                or area > 0.1 * roi_area:
+            continue
+        cx = float(sum(xs) / area)
+        cy = float(sum(ys) / area)
+        ar = w / h
+        hull = _naive_hull_area(pixels[lb])
+        if area == w * h and w > 1 and h > 1:
+            hull = float((w - 1) * (h - 1))
+        solidity = float(area) / hull if hull > 0 else 0.5
+        extent = float(area) / float(w * h)
+        if (0.02 <= ar <= 50.0) and solidity >= 0.05 \
+                and extent >= 0.05:
+            out.append({"x": x0, "y": y0, "w": w, "h": h,
+                        "cx": cx, "cy": cy, "area": float(area),
+                        "aspect_ratio": float(ar),
+                        "solidity": float(solidity),
+                        "extent": float(extent)})
+    return out
+
+
+def _naive_text_mask(gray):
+    """Otsu (same float formula, one threshold at a time) + open(2x2) +
+    close(3x3 cross), one pixel at a time with a zero border."""
+    import numpy as np
+
+    H, W = gray.shape
+    vals = gray.ravel().tolist()
+    total = float(len(vals))
+    mu_t = float(sum(vals))
+    best_t, best = 0, 0.0
+    for t in range(256):
+        w0 = float(sum(1 for v in vals if v <= t))
+        mu = float(sum(v for v in vals if v <= t))
+        w1 = total - w0
+        if w0 > 0 and w1 > 0:
+            b = (mu_t * w0 - mu * total) ** 2 / (w0 * w1 * total * total)
+            if b > best:
+                best_t, best = t, b
+    m = [[gray[y, x] > best_t for x in range(W)] for y in range(H)]
+
+    def at(img, y, x):
+        return 0 <= y < H and 0 <= x < W and img[y][x]
+
+    def erode(img, offs):
+        return [[all(at(img, y + dy, x + dx) for dy, dx in offs)
+                 for x in range(W)] for y in range(H)]
+
+    def dilate(img, offs):
+        return [[any(at(img, y - dy, x - dx) for dy, dx in offs)
+                 for x in range(W)] for y in range(H)]
+    # taps relative to the anchor (kernel center, kh//2, kw//2)
+    k2 = [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+    k3 = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
+    m = dilate(erode(m, k2), k2)
+    m = erode(dilate(m, k3), k3)
+    return np.array(m, dtype=np.uint8) * 255
+
+
+def _assert_same_blobs(got, want, ctx):
+    # blob ordering is label order in both paths; centroids are
+    # integer-sum ratios so equality is exact, not approximate
+    assert len(got) == len(want), ctx
+    for g, w_ in zip(got, want):
+        for k in ("x", "y", "w", "h", "area", "cx", "cy",
+                  "aspect_ratio", "extent", "solidity"):
+            assert g[k] == w_[k], (ctx, k, g, w_)
+
+
 def test_extract_smart_blobs_matches_naive_per_pixel():
-    """The scatter-vectorized blob stats (one np.*.at pass over runs)
-    must agree with a naive per-pixel reference on random masks:
+    """The batch blob kernel must agree with a naive per-pixel
+    reference (BFS flood fill, all-pixel hull) on random masks:
     identical blob order, bbox, integer area, centroid floats, and
     the full filter band. Guards the byte-exact golden fingerprints
     against future vectorization edits."""
@@ -140,46 +275,64 @@ def test_extract_smart_blobs_matches_naive_per_pixel():
 
     from wine_label_ocr_ray.functions import imaging as I
 
-    def naive_blobs(mask, min_area):
-        H, W = mask.shape
-        roi_area = float(H * W) if H and W else 1.0
-        n, labels, stats, _ = I.connected_components(mask)
-        out = []
-        for lb in range(1, n):
-            ys, xs = np.nonzero(labels == lb)
-            area = len(xs)
-            x0, x1 = int(xs.min()), int(xs.max())
-            y0, y1 = int(ys.min()), int(ys.max())
-            w, h = x1 - x0 + 1, y1 - y0 + 1
-            if area < min_area or w < 3 or h < 3 \
-                    or area > 0.1 * roi_area:
-                continue
-            cx = float(xs.sum() / area)
-            cy = float(ys.sum() / area)
-            ar = w / h
-            hull = I.convex_hull_area(np.stack([xs, ys], axis=1))
-            if area == w * h and w > 1 and h > 1:
-                hull = float((w - 1) * (h - 1))
-            solidity = float(area) / hull if hull > 0 else 0.5
-            extent = float(area) / float(w * h)
-            if (0.02 <= ar <= 50.0) and solidity >= 0.05 \
-                    and extent >= 0.05:
-                out.append({"x": x0, "y": y0, "w": w, "h": h,
-                            "cx": cx, "cy": cy, "area": float(area),
-                            "aspect_ratio": float(ar),
-                            "solidity": float(solidity),
-                            "extent": float(extent)})
-        return out
-
     rng = np.random.RandomState(11)
     for trial in range(8):
         mask = (rng.rand(48, 64) > 0.72).astype(np.uint8) * 255
         got = I.extract_smart_blobs(mask, min_area=5.0)
-        want = naive_blobs(mask, min_area=5.0)
-        # blob ordering is label order in both paths; centroids are
-        # integer-sum ratios so equality is exact, not approximate
-        assert len(got) == len(want), trial
-        for g, w_ in zip(got, want):
-            for k in ("x", "y", "w", "h", "area", "cx", "cy",
-                      "aspect_ratio", "extent", "solidity"):
-                assert g[k] == w_[k], (trial, k, g, w_)
+        want = _naive_blobs(mask, min_area=5.0)
+        _assert_same_blobs(got, want, trial)
+
+
+def test_analyze_batch_matches_naive_per_image():
+    """``BlobAnalyzer.analyze_batch`` over one call with mixed shapes
+    equals the naive per-image blob leg for every image. Blobs touch
+    the top and bottom rows of same-shape neighbours, so any leakage
+    across the stacked images' separator would merge them."""
+    import numpy as np
+
+    from wine_label_ocr_ray.functions.blobs import blob_fingerprint
+    from wine_label_ocr_ray.state.engines import BlobAnalyzer
+
+    rng = np.random.RandomState(5)
+
+    def image(h, w):
+        g = (rng.rand(h, w) * 40).astype(np.uint8)
+        for _ in range(rng.randint(2, 5)):
+            bw, bh = rng.randint(3, max(4, w // 3)), rng.randint(3, 8)
+            x = rng.randint(0, w - bw)
+            y = rng.choice([0, h - bh, rng.randint(0, h - bh)])
+            g[y:y + bh, x:x + bw] = 180 + rng.randint(0, 60)
+        # a ragged blob, so the hull is not a rectangle's
+        g[h // 2, 2:9] = g[h // 2 + 1, 4:7] = g[h // 2 + 2, 5] = 230
+        return g
+
+    grays = [image(24, 32) for _ in range(4)] + \
+        [image(20, 20), image(31, 17), image(20, 20),
+         np.zeros((24, 32), np.uint8), np.full((20, 20), 255, np.uint8),
+         image(24, 32)]
+    for batch in (grays, grays[:1]):
+        got = BlobAnalyzer(5.0).analyze_batch(batch)
+        assert len(got) == len(batch)
+        for i, (g, res) in enumerate(zip(batch, got)):
+            want = _naive_blobs(_naive_text_mask(g), 5.0)
+            _assert_same_blobs(res["blobs"], want, i)
+            assert res["roi_shape"] == list(g.shape)
+            assert res["blob_count"] == len(want)
+            assert res["blob_fingerprint"] == \
+                blob_fingerprint(want, g.shape)
+
+    # the text mask's zero-border close keeps mask pixels off the first
+    # and last rows, so check the labeling's separator on raw masks:
+    # column-aligned blobs on the bottom row of one image and the top
+    # row of the next must stay separate blobs
+    from wine_label_ocr_ray.functions import imaging as I
+
+    masks = np.zeros((5, 16, 24), dtype=bool)
+    for m in masks:
+        m[:4, 3:12] = m[12:, 3:12] = True
+        m[6:10, 14:21] = rng.rand(4, 7) > 0.3
+    got = I.smart_blobs(masks, 5.0)
+    for i, m in enumerate(masks):
+        want = _naive_blobs(m.astype(np.uint8) * 255, 5.0)
+        _assert_same_blobs(got[i], want, i)
+        assert {b["y"] for b in got[i]} >= {0, 12}

@@ -83,6 +83,73 @@ def test_missing_media_is_poison_pill_not_crash(ray_session, tmp_path):
     assert r["blob"]["blob_fingerprint"] == ""  # sentinel (no payload)
 
 
+def test_corrupt_payloads_cost_one_row_each(tmp_path):
+    """Ray-free: ``MediaExtract`` on one Arrow batch whose media rows
+    include a truncated, a bad-JSON-header and a wrong-pixel-count
+    payload emits one error row per bad payload and oracle-equal rows
+    for every good one."""
+    import json
+
+    from wine_label_ocr_ray.oracle import _process_media
+    from wine_label_ocr_ray.stages.media import MediaExtract, raw_to_entries
+    from wine_label_ocr_ray.stages.spans import (explode_spans,
+                                                 extract_text_spans)
+    from wine_label_ocr_ray.synth import PAYLOAD_SEP, decode_payload
+
+    out = str(tmp_path / "corpus")
+    generate_corpus(out, num_docs=20, seed=5, num_shards=1)
+    good = _make_media_payload(_doc_rng(7, 0), "Opus One", 2019)
+    header = json.dumps({"w": 8, "h": 4, "elements": []}).encode()
+    bad = {
+        "m-zz-bad-0": good[:len(good) // 2],            # truncated pixels
+        "m-zz-bad-1": good[:12],                        # truncated header
+        "m-zz-bad-2": b"{not json" + PAYLOAD_SEP + bytes(32),
+        "m-zz-bad-3": header + PAYLOAD_SEP + bytes(8 * 4 + 7),
+    }
+    refs = sorted(bad)
+    pq.write_table(pa.Table.from_arrays(
+        [pa.array(refs, pa.string()),
+         pa.array([bad[r] for r in refs], pa.binary())],
+        schema=MEDIA_SCHEMA), os.path.join(out, "media", "part-bad.parquet"))
+    doc = {"doc_id": "doc-zz-bad",
+           "spans": [{"kind": "media", "text": "", "media_ref": r,
+                      "offset": i} for i, r in enumerate(refs)]}
+    pq.write_table(pa.Table.from_pylist([doc], schema=DOC_SCHEMA),
+                   os.path.join(out, "documents", "part-bad.parquet"))
+
+    docs = pa.concat_tables(
+        [pq.read_table(p) for p in
+         sorted(glob.glob(os.path.join(out, "documents", "*.parquet")))])
+    batch = extract_text_spans(explode_spans(docs))
+    rows = MediaExtract(os.path.join(out, "media"))(batch).to_pylist()
+    assert len(rows) == batch.num_rows
+
+    media = {}
+    for p in glob.glob(os.path.join(out, "media", "*.parquet")):
+        t = pq.read_table(p)
+        media.update(zip(t.column("media_ref").to_pylist(),
+                         t.column("payload").to_pylist()))
+    errors = [r for r in rows if r["media_ref"] in bad]
+    assert sorted(r["media_ref"] for r in errors) == refs
+    for r in errors:
+        assert r["raw"] == [{"bucket": "error", "text": "corrupt_media",
+                             "conf": None}]
+        assert r["blob"] is None and r["span_text"] == ""
+    checked = 0
+    for r in rows:
+        if r["kind"] != "media" or r["media_ref"] in bad:
+            continue
+        m = _process_media(*decode_payload(media[r["media_ref"]]),
+                           0.01, 0.08, 30.0)
+        assert (r["span_text"], r["maker_name"], r["vintage_str"],
+                r["barcode"]) == (m["span_text"], m["maker"], m["vintage"],
+                                  m["barcode"])
+        assert r["raw"] == raw_to_entries(m["raw"])
+        assert r["blob"] == m["blob"]
+        checked += 1
+    assert checked == sum(r["kind"] == "media" for r in rows) - len(bad) > 0
+
+
 def test_queries_on_fully_empty_tables(ray_session, tmp_path):
     """Zero-row input tables (the degenerate partition case) must flow
     through as typed-empty results, not KeyError on the column-less

@@ -150,18 +150,14 @@ def test_ocr_sweep_cap_contract():
             return ["2016"]
 
     from wine_label_ocr_ray.stages.media import extract_media_fields
-    from wine_label_ocr_ray.state.engines import (BlobAnalyzer,
-                                                  SyntheticBarcodeEngine,
-                                                  SyntheticDetectEngine)
+    from wine_label_ocr_ray.state.engines import SyntheticBarcodeEngine
     decoded_full = {"w": 64, "h": 48, "elements": [],
                     "background_texts": []}
     gray = np.zeros((48, 64), dtype=np.uint8)
     fields = extract_media_fields(
-        decoded_full, gray,
-        detect_engine=SyntheticDetectEngine(),
+        decoded_full, gray, [],
         ocr_engine=CountingOcr(),
         barcode_engine=SyntheticBarcodeEngine(),
-        blob_analyzer=BlobAnalyzer(),
         sweep_max_variants=42)
     assert seen["cap"] == 42
     assert fields["vintage_str"] == "2016"
@@ -277,9 +273,8 @@ def test_two_arg_ocr_sweep_adapter_still_works():
     """An adapter written against the original 2-arg ocr_sweep
     signature (no gray parameter) must not crash the media stage."""
     from wine_label_ocr_ray.stages.media import extract_media_fields
-    from wine_label_ocr_ray.state.engines import (BlobAnalyzer, OcrEngine,
-                                                  SyntheticBarcodeEngine,
-                                                  SyntheticDetectEngine)
+    from wine_label_ocr_ray.state.engines import (OcrEngine,
+                                                  SyntheticBarcodeEngine)
 
     class OldStyleOcr(OcrEngine):
         def ocr_box(self, d, box):
@@ -293,11 +288,9 @@ def test_two_arg_ocr_sweep_adapter_still_works():
 
     fields = extract_media_fields(
         {"w": 32, "h": 32, "elements": [], "background_texts": []},
-        np.zeros((32, 32), dtype=np.uint8),
-        detect_engine=SyntheticDetectEngine(),
+        np.zeros((32, 32), dtype=np.uint8), [],
         ocr_engine=OldStyleOcr(),
         barcode_engine=SyntheticBarcodeEngine(),
-        blob_analyzer=BlobAnalyzer(),
         sweep_max_variants=75)
     assert fields["vintage_str"] == "1999"
 

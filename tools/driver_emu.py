@@ -45,8 +45,10 @@ def canon(df: pd.DataFrame) -> str:
         elif s.dtype == object:
             df[c] = s.map(lambda v: json.dumps(v, sort_keys=True, default=str)
                           if isinstance(v, (list, dict, np.ndarray)) else v)
-    rows = df.astype(str).agg("|".join, axis=1).sort_values()
-    return hashlib.md5("\n".join(rows.tolist()).encode()).hexdigest()
+    # JSON keeps value boundaries unambiguous ("a|b", "c" != "a", "b|c")
+    rows = sorted(map(list, df.astype(str).itertuples(index=False,
+                                                      name=None)))
+    return hashlib.md5(json.dumps(rows).encode()).hexdigest()
 
 
 def main():
@@ -104,13 +106,10 @@ def main():
 
     green = sum(1 for r in out.values() if r.get("hash_match"))
     rows_only = sum(1 for r in out.values() if r.get("err") == "no_oracle")
-    bad = [k for k, r in out.items()
-           if r.get("err", "no_oracle") != "no_oracle"
-           or (r.get("err") is None and not r.get("hash_match"))]
-    # rows with an oracle that didn't hash-match
-    bad += [k for k, r in out.items()
-            if r.get("err") is None and not r.get("hash_match")]
-    bad = sorted(set(bad))
+    # failed queries/oracles, and oracled queries that didn't hash-match
+    bad = sorted(k for k, r in out.items()
+                 if r.get("err", "no_oracle") != "no_oracle"
+                 or (r.get("err") is None and not r.get("hash_match")))
     print(f"\nTOTAL {len(out)}  green {green}  rows-only {rows_only}  "
           f"bad {len(bad)}: {bad}")
     json.dump(out, open("/tmp/correctness_emu.json", "w"), indent=1)

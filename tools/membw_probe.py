@@ -3,8 +3,8 @@ scaling criterion.
 
 Runs a STREAM-add kernel (a = b + c over arrays far larger than LLC,
 temp-free so counted bytes equal bus traffic modulo write-allocate)
-in P pinned processes for P in (1, 8, 32) and reports
-aggregate moved bytes/sec. On a real N-vs-4N-NODE cluster, DRAM
+in P pinned processes for each width P in 1,4,8,16,32 (override with
+MEMBW_WIDTHS) and reports aggregate moved bytes/sec. On a real N-vs-4N-NODE cluster, DRAM
 channels scale with cores; on this one host they do not, so
 (BW_32/BW_8)/4 is the hard 8v32 efficiency ceiling for any
 memory-bound stage — measured, not argued. A pure-ALU control

@@ -1,25 +1,50 @@
 """Scipy/cv2-free numpy image primitives for the blob leg.
 
 The reference does these with OpenCV; neither cv2 nor scipy exist in
-this environment, so the handful of kernels the blob/fingerprint
-operators need are implemented directly in numpy. Semantics follow the
-cited reference call sites; exact cv2 bit-parity is NOT claimed for the
+this environment, so the kernels the blob/fingerprint operators need
+are implemented directly in numpy. Semantics follow the cited
+reference call sites; exact cv2 bit-parity is NOT claimed for the
 pixel ops (the oracle and the engine share these implementations, and
 reference parity is asserted at the *feature* level via the golden blob
 rows — see ``functions/blobs.py``).
+
+The blob leg is one batch kernel over an ``(N, H, W)`` uint8 stack of
+same-shape images, one numpy step per stage for the whole stack:
+
+- Otsu: one offset ``bincount`` (``gray + 256*i``) gives an ``(N, 256)``
+  histogram; the float64 cumsum/argmax runs per row.
+- open(2x2) / close(3x3 cross): shifted-slice AND/OR over the last two
+  axes; every image keeps its own zero border.
+- 8-connected labeling: the masks are stacked into one tall image with a
+  zero separator row under each image and zero side columns, so runs
+  never cross an image or a row. One flat diff yields every run; two
+  ``searchsorted`` calls over flat ``row*(W+2)+col`` positions find each
+  run's overlapping runs in the previous row; min-hooking
+  (``np.minimum.at``) plus pointer jumping resolves the labels. A
+  component's root is its first run in raster order, so components (and
+  blobs) come out in raster order of their first pixel.
+- stats: per-component bbox/area/moment sums in one scatter pass.
+- hull: for the filter's non-rectangular survivors only, the per-row
+  leftmost/rightmost pixels are pruned in rounds to the convex minorant
+  (left side) and concave majorant (right side); twice the hull area is
+  an integer trapezoid sum, so solidity is exact.
+
+``create_text_mask``, ``extract_smart_blobs``, ``connected_components``
+and ``otsu_threshold`` are the single-image (N=1) entry points over the
+same kernel; ``text_masks`` + ``smart_blobs`` are the batch ones.
 
 - ``pad_box``            -> ``data_extraction_functions/final_run_ocr.py:83-90``
 - ``otsu_threshold``     -> cv2.THRESH_OTSU as used in ``hybrid.py:181``
 - ``binary_open/close``  -> ``hybrid.py:183-186`` (2x2 / 3x3 ellipse kernels)
 - ``connected_components``-> cv2.connectedComponentsWithStats(8) in ``hybrid.py:190``
-- ``convex_hull_area``   -> cv2.convexHull + contourArea in ``hybrid.py:211-216``
-- ``extract_smart_blobs``-> ``hybrid.py:189-227`` (filters + per-blob stats)
-- ``create_text_mask``   -> ``hybrid.py:172-187``
+- ``smart_blobs``        -> ``hybrid.py:189-227`` (filters + per-blob stats,
+  cv2.convexHull + contourArea solidity of ``hybrid.py:211-216``)
+- ``text_masks``         -> ``hybrid.py:172-187``
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -37,55 +62,58 @@ def pad_box(xyxy: Sequence[float], img_w: int, img_h: int,
             min(img_w, int(x2 + pad * w)), min(img_h, int(y2 + pad * h))]
 
 
+def _otsu_thresholds(grays: np.ndarray) -> np.ndarray:
+    """Per-image Otsu threshold of an (N, H, W) uint8 stack."""
+    n = grays.shape[0]
+    offs = (np.arange(n, dtype=np.intp) << 8)[:, None]
+    pixels = grays.reshape(n, int(np.prod(grays.shape[1:])))
+    hist = np.bincount((pixels + offs).ravel(),
+                       minlength=256 * n).reshape(n, 256).astype(np.float64)
+    omega = np.cumsum(hist, axis=1)
+    mu = np.cumsum(hist * np.arange(256), axis=1)
+    total = omega[:, -1:]
+    w1 = total - omega
+    between = np.zeros((n, 256))
+    np.divide((mu[:, -1:] * omega - mu * total) ** 2,
+              omega * w1 * total * total,
+              out=between, where=(omega > 0) & (w1 > 0))
+    return np.argmax(between, axis=1)
+
+
 def otsu_threshold(gray: np.ndarray) -> Tuple[int, np.ndarray]:
     """Standard Otsu over a uint8 image; returns (threshold, mask 0/255)
     with the cv2 convention mask = 255 where pixel > threshold."""
-    hist = np.bincount(gray.reshape(-1), minlength=256).astype(np.float64)
-    total = hist.sum()
-    if total == 0:
-        return 0, np.zeros_like(gray)
-    omega = np.cumsum(hist)
-    mu = np.cumsum(hist * np.arange(256))
-    mu_t = mu[-1]
-    w0 = omega
-    w1 = total - omega
-    valid = (w0 > 0) & (w1 > 0)
-    between = np.zeros(256)
-    between[valid] = (mu_t * w0[valid] - mu[valid] * total) ** 2 / (
-        w0[valid] * w1[valid] * total * total)
-    t = int(np.argmax(between))
+    t = int(_otsu_thresholds(gray[None])[0])
     return t, np.where(gray > t, 255, 0).astype(np.uint8)
 
 
 def _binary_dilate(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """out[..., y, x] = OR over kernel taps (di, dj) of
+    mask[..., y - di + kh//2, x - dj + kw//2], zero outside each image
+    (anchor at the kernel center, cv2 default)."""
     kh, kw = kernel.shape
-    # anchor at kernel center, cv2 default: center = (kh//2, kw//2)
-    ah, aw = kh // 2, kw // 2
-    out = np.zeros_like(mask, dtype=bool)
-    m = mask.astype(bool)
-    H, W = mask.shape
-    for di in range(kh):
-        for dj in range(kw):
-            if not kernel[di, dj]:
-                continue
-            oi, oj = di - ah, dj - aw
-            src = m[max(0, -oi):H - max(0, oi) or H, max(0, -oj):W - max(0, oj) or W]
-            out[max(0, oi):H - max(0, -oi) or H, max(0, oj):W - max(0, -oj) or W] |= src
+    H, W = mask.shape[-2:]
+    top, left = kh - 1 - kh // 2, kw - 1 - kw // 2
+    padded = np.zeros(mask.shape[:-2] + (H + kh - 1, W + kw - 1), bool)
+    padded[..., top:top + H, left:left + W] = mask
+    out = np.zeros(mask.shape, dtype=bool)
+    for di, dj in zip(*np.nonzero(kernel)):
+        out |= padded[..., kh - 1 - di:kh - 1 - di + H,
+                      kw - 1 - dj:kw - 1 - dj + W]
     return out
 
 
 def _binary_erode(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """out[..., y, x] = AND over kernel taps (di, dj) of
+    mask[..., y + di - kh//2, x + dj - kw//2], zero outside each image."""
     kh, kw = kernel.shape
+    H, W = mask.shape[-2:]
     ah, aw = kh // 2, kw // 2
-    out = np.ones_like(mask, dtype=bool)
-    m = mask.astype(bool)
-    H, W = mask.shape
-    padded = np.zeros((H + kh, W + kw), dtype=bool)
-    padded[ah:ah + H, aw:aw + W] = m
-    for di in range(kh):
-        for dj in range(kw):
-            if kernel[di, dj]:
-                out &= padded[di:di + H, dj:dj + W]
+    padded = np.zeros(mask.shape[:-2] + (H + kh - 1, W + kw - 1), bool)
+    padded[..., ah:ah + H, aw:aw + W] = mask
+    out = np.ones(mask.shape, dtype=bool)
+    for di, dj in zip(*np.nonzero(kernel)):
+        out &= padded[..., di:di + H, dj:dj + W]
     return out
 
 
@@ -99,88 +127,210 @@ def binary_close(mask: np.ndarray, kernel: np.ndarray) -> np.ndarray:
             .astype(np.uint8) * 255)
 
 
+def _open_close(masks: np.ndarray) -> np.ndarray:
+    """open(2x2) then close(3x3 ellipse) of a bool stack."""
+    m = _binary_dilate(_binary_erode(masks, KERNEL_2X2), KERNEL_2X2)
+    return _binary_erode(_binary_dilate(m, KERNEL_3X3_ELLIPSE),
+                         KERNEL_3X3_ELLIPSE)
+
+
+def text_masks(grays: np.ndarray) -> np.ndarray:
+    """Otsu + open(2x2) + close(3x3 ellipse) of an (N, H, W) uint8
+    stack -> (N, H, W) bool text masks (``hybrid.py:172-187``)."""
+    t = _otsu_thresholds(grays).astype(grays.dtype)
+    return _open_close(grays > t[:, None, None])
+
+
 def create_text_mask(roi_gray: np.ndarray,
                      use_image_as_mask: bool = False) -> Tuple[np.ndarray, Dict]:
-    """Otsu + open(2x2) + close(3x3 ellipse); disabled -> zeros
+    """Single-image text mask (0/255); disabled -> zeros
     (``hybrid.py:172-187``)."""
     H, W = roi_gray.shape[:2]
     if not use_image_as_mask:
         return np.zeros((H, W), dtype=np.uint8), {
             "method": "disabled", "foreground_ratio": 0.0}
-    _, mask = otsu_threshold(roi_gray)
-    mask = binary_open(mask, KERNEL_2X2)
-    mask = binary_close(mask, KERNEL_3X3_ELLIPSE)
+    mask = text_masks(roi_gray[None])[0].astype(np.uint8) * 255
     fg_ratio = float(np.count_nonzero(mask)) / float(H * W if H * W else 1)
     return mask, {"method": "image_as_mask", "foreground_ratio": fg_ratio}
 
 
-def _label_runs(m: np.ndarray):
-    """Extract foreground runs of every row in one vectorized pass and
-    label them with 8-connectivity union-find. Returns
-    (runs_r, runs_a, runs_b, run_root_labels, next_label) where run k
-    spans columns [a, b] of row r."""
-    H, W = m.shape
-    padded = np.zeros((H, W + 2), dtype=np.int8)
-    padded[:, 1:-1] = m
-    d = np.diff(padded, axis=1)
-    sr, sc = np.nonzero(d == 1)      # run starts (inclusive)
-    er, ec = np.nonzero(d == -1)     # run ends (exclusive)
-    # starts/ends are row-major aligned pairs
-    runs_r, runs_a, runs_b = sr, sc, ec - 1
+class _Runs(NamedTuple):
+    """Foreground runs of a stack in raster order (image, row, column):
+    run k covers columns a[k]..b[k] of row y[k] of image img[k] and
+    belongs to component comp[k]; components are numbered in the
+    raster order of their first run, ``root[c]`` being that run."""
+    img: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    comp: np.ndarray
+    root: np.ndarray
+    starts: np.ndarray   # flat [start, end) of each run in the tall image
+    ends: np.ndarray
 
-    parent = np.arange(len(runs_r) + 1, dtype=np.int64)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+def _label(masks: np.ndarray) -> _Runs:
+    """8-connected run labeling of an (N, H, W) bool stack."""
+    n, H, W = masks.shape
+    W2 = W + 2
+    tall = np.zeros((n, H + 1, W2), dtype=bool)
+    tall[:, :H, 1:W + 1] = masks
+    flat = tall.reshape(-1)
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    # runs of the previous row touching [start - 1, end] (8-connected)
+    lo = np.searchsorted(ends, starts - W2 - 1, side="right")
+    hi = np.searchsorted(starts, ends - W2 + 1, side="left")
+    cnt = hi - lo
+    k = len(starts)
+    src = np.repeat(np.arange(k), cnt)
+    dst = np.arange(len(src)) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+    parent = np.arange(k)
+    while True:
+        pu, pv = parent[src], parent[dst]
+        differ = pu != pv
+        if not differ.any():
+            break
+        src, dst = src[differ], dst[differ]
+        # hook the larger root under the smaller, then jump pointers
+        # until every run points straight at its root
+        np.minimum.at(parent, np.maximum(pu[differ], pv[differ]),
+                      np.minimum(pu[differ], pv[differ]))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    is_root = parent == np.arange(k)
+    comp = (np.cumsum(is_root) - 1)[parent]
+    row = starts // W2
+    img = row // (H + 1)
+    col0 = row * W2 + 1
+    return _Runs(img, row - img * (H + 1), starts - col0, ends - 1 - col0,
+                 comp, np.flatnonzero(is_root), starts, ends)
 
-    labels_of_run = np.zeros(len(runs_r), dtype=np.int64)
-    next_label = 1
-    prev_start = prev_stop = 0  # slice of runs in previous row
-    row_of = runs_r
-    i = 0
-    nruns = len(runs_r)
-    while i < nruns:
-        r = row_of[i]
-        j = i
-        while j < nruns and row_of[j] == r:
-            j += 1
-        # previous row's runs: [prev_start, prev_stop) valid iff that
-        # row is r-1
-        if prev_stop > prev_start and row_of[prev_start] != r - 1:
-            prev_start = prev_stop = i
-        # two-pointer over the (sorted) previous row's runs: both run
-        # lists are ascending, so the overlap window only moves forward
-        p_lo = prev_start
-        for k in range(i, j):
-            a, b = runs_a[k], runs_b[k]
-            while p_lo < prev_stop and runs_b[p_lo] < a - 1:
-                p_lo += 1
-            label = 0
-            p = p_lo
-            while p < prev_stop and runs_a[p] <= b + 1:
-                root = find(labels_of_run[p])
-                if label == 0:
-                    label = root
-                elif root != label:
-                    ra, rb = find(label), root
-                    if ra < rb:
-                        parent[rb] = ra
-                        label = ra
-                    else:
-                        parent[ra] = rb
-                        label = rb
-                p += 1
-            if label == 0:
-                label = next_label
-                next_label += 1
-            labels_of_run[k] = label
-        prev_start, prev_stop = i, j
-        i = j
-    roots = np.array([find(int(l)) for l in labels_of_run], dtype=np.int64)
-    return runs_r, runs_a, runs_b, roots, next_label
+
+class _Comps(NamedTuple):
+    img: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    area: np.ndarray
+    sx2: np.ndarray   # sum over the component's pixels of 2*x
+    sy: np.ndarray    # sum over the component's pixels of y
+
+
+def _component_stats(runs: _Runs) -> _Comps:
+    """Per-component bbox, area and moment sums in one scatter pass.
+    The sums are integers (exact in float64 at these sizes), so every
+    float derived from them is the same whatever the summation order."""
+    c = len(runs.root)
+    length = runs.ends - runs.starts
+    x0 = np.full(c, np.iinfo(np.int64).max)
+    x1 = np.full(c, -1, dtype=np.int64)
+    y1 = np.full(c, -1, dtype=np.int64)
+    np.minimum.at(x0, runs.comp, runs.a)
+    np.maximum.at(x1, runs.comp, runs.b)
+    np.maximum.at(y1, runs.comp, runs.y)
+    y0 = runs.y[runs.root]
+    return _Comps(runs.img[runs.root], x0, y0, x1 - x0 + 1, y1 - y0 + 1,
+                  np.bincount(runs.comp, length, c).astype(np.int64),
+                  np.bincount(runs.comp, (runs.a + runs.b) * length, c),
+                  np.bincount(runs.comp, runs.y * length, c))
+
+
+def _blob_candidates(comps: _Comps, shape: Tuple[int, int],
+                     min_area: float) -> np.ndarray:
+    """The cheap half of the filter band: area, bbox size, ROI share."""
+    H, W = shape
+    roi_area = float(H * W) if H and W else 1.0
+    return ((comps.area >= min_area) & (comps.w >= 3) & (comps.h >= 3)
+            & (comps.area <= 0.1 * roi_area))
+
+
+def _hull_areas(runs: _Runs, comps: _Comps, cand: np.ndarray) -> np.ndarray:
+    """Convex hull area of each candidate component (0 elsewhere).
+
+    An exact rectangle's hull is its 4 pixel-center corners. Otherwise
+    every hull vertex is a per-row leftmost or rightmost pixel: the left
+    chain is pruned to its convex minorant x = L(y), the right chain
+    (negated) likewise, and 2*area = -sum over both chains of
+    (x_i + x_{i+1}) * (y_{i+1} - y_i)."""
+    hull = np.zeros(len(cand))
+    rect = (comps.area == comps.w * comps.h) & (comps.w > 1) & (comps.h > 1)
+    hull[cand & rect] = ((comps.w - 1) * (comps.h - 1))[cand & rect]
+    sel = np.flatnonzero((cand & ~rect)[runs.comp])
+    if not len(sel):
+        return hull
+    sel = sel[np.argsort(runs.comp[sel], kind="stable")]
+    comp, y = runs.comp[sel], runs.y[sel]
+    first = np.ones(len(sel), dtype=bool)
+    first[1:] = (comp[1:] != comp[:-1]) | (y[1:] != y[:-1])
+    head = np.flatnonzero(first)
+    tail = np.append(head[1:], len(sel)) - 1
+    chain = np.concatenate([comp[head], comp[head] + len(cand)])
+    ys = np.concatenate([y[head], y[head]])
+    xs = np.concatenate([runs.a[sel[head]], -runs.b[sel[tail]]])
+    while len(chain) > 2:
+        xp, xi, xn = xs[:-2], xs[1:-1], xs[2:]
+        yp, yi, yn = ys[:-2], ys[1:-1], ys[2:]
+        drop = ((chain[:-2] == chain[1:-1]) & (chain[2:] == chain[1:-1])
+                & ((xi - xp) * (yn - yp) >= (xn - xp) * (yi - yp)))
+        if not drop.any():
+            break
+        keep = np.ones(len(chain), dtype=bool)
+        keep[1:-1] = ~drop
+        chain, ys, xs = chain[keep], ys[keep], xs[keep]
+    seg = chain[1:] == chain[:-1]
+    twice = np.bincount(chain[:-1][seg] % len(cand),
+                        ((xs[:-1] + xs[1:]) * (ys[1:] - ys[:-1]))[seg],
+                        len(cand))
+    hull[cand & ~rect] = -twice[cand & ~rect] / 2.0
+    return hull
+
+
+def _blob_dicts(comps: _Comps, cand: np.ndarray, hull: np.ndarray,
+                n: int) -> List[List[Dict]]:
+    """The rest of the filter band (aspect, solidity, extent) and the
+    per-image blob dicts, in component order."""
+    area = comps.area.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        solidity = np.where(hull > 0, area / hull, 0.5)
+    ar = comps.w / comps.h
+    extent = area / (comps.w * comps.h)
+    keep = np.flatnonzero(cand & (ar >= 0.02) & (ar <= 50.0)
+                          & (solidity >= 0.05) & (extent >= 0.05))
+    out: List[List[Dict]] = [[] for _ in range(n)]
+    cols = zip(comps.img[keep].tolist(), comps.x0[keep].tolist(),
+               comps.y0[keep].tolist(), comps.w[keep].tolist(),
+               comps.h[keep].tolist(),
+               (comps.sx2[keep] / 2.0 / area[keep]).tolist(),
+               (comps.sy[keep] / area[keep]).tolist(), area[keep].tolist(),
+               ar[keep].tolist(), solidity[keep].tolist(),
+               extent[keep].tolist())
+    for i, x, y, w, h, cx, cy, a, r, s, e in cols:
+        out[i].append({"x": x, "y": y, "w": w, "h": h, "cx": cx, "cy": cy,
+                       "area": a, "aspect_ratio": r, "solidity": s,
+                       "extent": e})
+    return out
+
+
+def smart_blobs(masks: np.ndarray, min_area: float = 30.0) -> List[List[Dict]]:
+    """Blob extraction over an (N, H, W) bool stack with the reference's
+    exact filter band (``hybrid.py:189-227``): area >= min_area,
+    w,h >= 3, area <= 10% of ROI, 0.02 <= aspect <= 50,
+    solidity >= 0.05, extent >= 0.05. Returns each image's blob list."""
+    n = masks.shape[0]
+    runs = _label(masks)
+    comps = _component_stats(runs)
+    cand = _blob_candidates(comps, masks.shape[1:], min_area)
+    return _blob_dicts(comps, cand, _hull_areas(runs, comps, cand), n)
+
+
+def extract_smart_blobs(mask: np.ndarray, min_area: float = 30.0) -> List[Dict]:
+    """``smart_blobs`` of one 0/255 mask."""
+    return smart_blobs(mask[None] > 0, min_area)[0]
 
 
 def connected_components(mask: np.ndarray):
@@ -188,169 +338,32 @@ def connected_components(mask: np.ndarray):
 
     Returns (num_labels, labels, stats, centroids) shaped like
     cv2.connectedComponentsWithStats: label 0 = background; stats rows
-    are (x, y, w, h, area); centroids are (cx, cy) pixel means.
-    Run-based two-pass labeling with union-find (vectorized run
-    extraction; Python only over runs, not pixels or rows).
-    """
+    are (x, y, w, h, area); centroids are (cx, cy) pixel means."""
     m = mask > 0
     H, W = m.shape
-    labels = np.zeros((H, W), dtype=np.int32)
-    runs_r, runs_a, runs_b, roots, next_label = _label_runs(m)
-
-    if len(runs_r) == 0:
-        return 1, labels, np.array([[0, 0, W, H, H * W]], dtype=np.int64), \
-            np.array([[(W - 1) / 2.0, (H - 1) / 2.0]])
-
-    uniq, dense = np.unique(roots, return_inverse=True)
-    dense = dense + 1  # labels 1..n-1
-    n = len(uniq) + 1
-
-    run_len = (runs_b - runs_a + 1).astype(np.int64)
+    runs = _label(m[None])
+    comps = _component_stats(runs)
+    n = len(runs.root) + 1
+    # paint each run's label: +label at its start, -label at its end
+    delta = np.zeros((H + 1) * (W + 2) + 1, dtype=np.int32)
+    delta[runs.starts] = runs.comp + 1
+    delta[runs.ends] = -(runs.comp + 1)
+    labels = np.cumsum(delta[:-1], dtype=np.int32).reshape(
+        H + 1, W + 2)[:H, 1:W + 1].copy()
     stats = np.zeros((n, 5), dtype=np.int64)
     centroids = np.zeros((n, 2), dtype=np.float64)
-    x0 = np.full(n, np.iinfo(np.int64).max)
-    x1 = np.full(n, -1, dtype=np.int64)
-    y0 = np.full(n, np.iinfo(np.int64).max)
-    y1 = np.full(n, -1, dtype=np.int64)
-    area = np.zeros(n, dtype=np.int64)
-    sx = np.zeros(n, dtype=np.float64)
-    sy = np.zeros(n, dtype=np.float64)
-    np.minimum.at(x0, dense, runs_a)
-    np.maximum.at(x1, dense, runs_b)
-    np.minimum.at(y0, dense, runs_r)
-    np.maximum.at(y1, dense, runs_r)
-    np.add.at(area, dense, run_len)
-    # sum of x over a run [a,b] = (a+b)*(b-a+1)/2
-    np.add.at(sx, dense, (runs_a + runs_b) * run_len / 2.0)
-    np.add.at(sy, dense, runs_r.astype(np.float64) * run_len)
-    for k in range(len(runs_r)):
-        labels[runs_r[k], runs_a[k]:runs_b[k] + 1] = dense[k]
-    stats[1:, 0] = x0[1:]
-    stats[1:, 1] = y0[1:]
-    stats[1:, 2] = x1[1:] - x0[1:] + 1
-    stats[1:, 3] = y1[1:] - y0[1:] + 1
-    stats[1:, 4] = area[1:]
-    centroids[1:, 0] = sx[1:] / area[1:]
-    centroids[1:, 1] = sy[1:] / area[1:]
-    bg = ~m
-    stats[0] = (0, 0, W, H, int(bg.sum()))
-    if bg.any():
-        bys, bxs = np.nonzero(bg)
-        centroids[0] = (bxs.mean(), bys.mean())
+    stats[1:] = np.stack([comps.x0, comps.y0, comps.w, comps.h, comps.area],
+                         axis=1)
+    centroids[1:, 0] = comps.sx2 / 2.0 / comps.area
+    centroids[1:, 1] = comps.sy / comps.area
+    bg = H * W - int(comps.area.sum())
+    stats[0] = (0, 0, W, H, bg)
+    if bg:
+        # background coordinate sums = all pixels' minus the components'
+        bg_sx = H * W * (W - 1) // 2 - int(comps.sx2.sum()) // 2
+        bg_sy = W * H * (H - 1) // 2 - int(comps.sy.sum())
+        centroids[0] = (bg_sx / bg, bg_sy / bg)
     return n, labels, stats, centroids
-
-
-def convex_hull_area(points: np.ndarray) -> float:
-    """Area of the convex hull of integer pixel coordinates (x, y) via
-    monotone chain + shoelace, matching cv2.contourArea-over-hull
-    closely enough for the solidity filter band."""
-    arr = np.asarray(points)
-    # tolist() yields Python ints for integer arrays — identical
-    # tuples to the former per-point int() casts, far cheaper
-    pts = sorted(set(zip(arr[:, 0].tolist(), arr[:, 1].tolist())))
-    if len(pts) < 3:
-        return 0.0
-
-    lower: List = []
-    for px, py in pts:
-        while len(lower) >= 2 and \
-                ((lower[-1][0] - lower[-2][0]) * (py - lower[-2][1]) -
-                 (lower[-1][1] - lower[-2][1]) * (px - lower[-2][0])) <= 0:
-            lower.pop()
-        lower.append((px, py))
-    upper: List = []
-    for px, py in reversed(pts):
-        while len(upper) >= 2 and \
-                ((upper[-1][0] - upper[-2][0]) * (py - upper[-2][1]) -
-                 (upper[-1][1] - upper[-2][1]) * (px - upper[-2][0])) <= 0:
-            upper.pop()
-        upper.append((px, py))
-    hull = lower[:-1] + upper[:-1]
-    s = 0
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        s += x1 * y2 - x2 * y1
-    return abs(s) / 2.0
-
-
-def extract_smart_blobs(mask: np.ndarray, min_area: float = 30.0) -> List[Dict]:
-    """Blob extraction with the reference's exact filter band
-    (``hybrid.py:189-227``): area >= min_area, w,h >= 3, area <= 10% of
-    ROI, 0.02 <= aspect <= 50, solidity >= 0.05, extent >= 0.05.
-
-    Works directly on labeled runs; the convex hull uses only each
-    blob's per-row extreme pixels (every hull vertex of a pixel set is
-    a row-wise x-extreme, so the hull is identical to the all-pixel
-    hull at a fraction of the cost).
-    """
-    H, W = mask.shape[:2]
-    roi_area = float(H * W) if H and W else 1.0
-    runs_r, runs_a, runs_b, roots, _ = _label_runs(mask > 0)
-    blobs: List[Dict] = []
-    if len(runs_r) == 0:
-        return blobs
-    uniq, dense = np.unique(roots, return_inverse=True)
-    n = len(uniq)
-    run_len = (runs_b - runs_a + 1).astype(np.int64)
-    # per-blob bbox/area/moment stats in one scatter pass over runs
-    # (was a Python loop of small numpy reductions per blob — ~34
-    # blobs x 6 kernel launches per payload in the flagship's hottest
-    # stage). Integer accumulators keep every later float IDENTICAL
-    # to the per-blob form: same integer sums, same division order.
-    x0 = np.full(n, np.iinfo(np.int64).max)
-    x1 = np.full(n, -1, dtype=np.int64)
-    y0 = np.full(n, np.iinfo(np.int64).max)
-    y1 = np.full(n, -1, dtype=np.int64)
-    area_v = np.zeros(n, dtype=np.int64)
-    sx2 = np.zeros(n, dtype=np.int64)   # sum over runs of (a+b)*len
-    sy = np.zeros(n, dtype=np.int64)    # sum over runs of r*len
-    np.minimum.at(x0, dense, runs_a)
-    np.maximum.at(x1, dense, runs_b)
-    np.minimum.at(y0, dense, runs_r)
-    np.maximum.at(y1, dense, runs_r)
-    np.add.at(area_v, dense, run_len)
-    np.add.at(sx2, dense, (runs_a + runs_b) * run_len)
-    np.add.at(sy, dense, runs_r * run_len)
-    w_v = x1 - x0 + 1
-    h_v = y1 - y0 + 1
-    # cheap filter band applied vectorized; the hull (the only
-    # per-blob cost left) runs only for survivors
-    keep = ((area_v >= min_area) & (w_v >= 3) & (h_v >= 3)
-            & (area_v <= 0.1 * roi_area))
-    if not keep.any():
-        return blobs
-    order = np.argsort(dense, kind="stable")
-    bounds = np.searchsorted(dense[order], np.arange(n + 1))
-    for bi in np.flatnonzero(keep):
-        area = int(area_v[bi])
-        x0b, y0b = int(x0[bi]), int(y0[bi])
-        w, h = int(w_v[bi]), int(h_v[bi])
-        cx = float(sx2[bi] / 2.0 / area)
-        cy = float(sy[bi] / area)
-        ar = w / h if h > 0 else 0.0
-        if area == w * h and w > 1 and h > 1:
-            # exact rectangle: hull is its 4 pixel-center corners
-            hull_area = float((w - 1) * (h - 1))
-        else:
-            # hull points: per-row leftmost and rightmost pixels
-            sel = order[bounds[bi]:bounds[bi + 1]]
-            rr, ra, rb = runs_r[sel], runs_a[sel], runs_b[sel]
-            pts = np.concatenate([np.stack([ra, rr], axis=1),
-                                  np.stack([rb, rr], axis=1)])
-            hull_area = convex_hull_area(pts)
-        solidity = float(area) / hull_area if hull_area > 0 else 0.5
-        extent = float(area) / float(w * h) if (w * h) > 0 else 0.0
-        if (0.02 <= ar <= 50.0) and (solidity >= 0.05) and (extent >= 0.05):
-            blobs.append({
-                "x": x0b, "y": y0b, "w": w, "h": h,
-                "cx": cx, "cy": cy,
-                "area": float(area),
-                "aspect_ratio": float(ar),
-                "solidity": float(solidity),
-                "extent": float(extent),
-            })
-    return blobs
 
 
 def resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Text-analysis + dedup-sketch primitives for the documents pipeline.
 
 These are the large-scale training-data operators (not present in the
-reference, which has no bulk-text path): token counting, quality
-scoring, language-ID heuristic, document fingerprinting, shingling,
-MinHash, SimHash. All are deterministic, dependency-free, and designed
+reference, which has no bulk-text path): the stopword list,
+language-ID heuristic, document fingerprinting, Jaccard, MinHash,
+SimHash. All are deterministic, dependency-free, and designed
 to be called per-batch from ``map_batches`` (list-of-strings in,
 numpy arrays out).
 
@@ -18,17 +18,10 @@ sketch queries from rows-only to hash-checked.
 from __future__ import annotations
 
 import hashlib
-import re
 import struct
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 import numpy as np
-
-_WORD = re.compile(r"\S+")
-_ALNUM = re.compile(r"[A-Za-z0-9]")
-_PUNCT_CHARS = re.compile(r"[^\w\s]")
-# BPE-ish pretokenizer: word pieces, numbers, or single non-space symbols
-_BPE_TOKEN = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]")
 
 STOPWORDS = frozenset({
     "the", "a", "an", "and", "or", "of", "to", "in", "is", "it",
@@ -48,38 +41,6 @@ LANG_MARKERS: dict[str, Tuple[str, ...]] = {
 }
 
 
-def count_alnum(text: str) -> int:
-    """Alphanumeric char count (``Char_Count_TurnTable.py:57-58``)."""
-    return len(_ALNUM.findall(text))
-
-
-def token_count_ws(text: str) -> int:
-    """Whitespace token count."""
-    return len(_WORD.findall(text))
-
-
-def token_count_bpe(text: str) -> int:
-    """BPE-ish regex token count (letters / digit runs / symbols)."""
-    return len(_BPE_TOKEN.findall(text))
-
-
-def quality_features(text: str) -> Tuple[int, int, float, float, float]:
-    """(n_chars, n_tokens, mean_token_len, punct_ratio, stopword_ratio).
-
-    punct_ratio = punctuation chars / chars; stopword_ratio over
-    lowercase whitespace tokens.
-    """
-    n_chars = len(text)
-    toks = text.split()
-    n_tokens = len(toks)
-    mean_len = (sum(len(t) for t in toks) / n_tokens) if n_tokens else 0.0
-    punct = len(_PUNCT_CHARS.findall(text))
-    punct_ratio = punct / n_chars if n_chars else 0.0
-    stops = sum(1 for t in toks if t.lower() in STOPWORDS)
-    stop_ratio = stops / n_tokens if n_tokens else 0.0
-    return n_chars, n_tokens, mean_len, punct_ratio, stop_ratio
-
-
 def lang_id(text: str) -> str:
     """Marker-word count argmax; ties broken alphabetically; no hits ->
     'und' (undetermined)."""
@@ -90,10 +51,6 @@ def lang_id(text: str) -> str:
         if s > best_score:
             best_lang, best_score = lang, s
     return best_lang
-
-
-def md5_hex(text: str) -> str:
-    return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
 _ROLL_BASE = 1000003
@@ -119,21 +76,6 @@ def rolling_fingerprint(text: str, window: int = 16) -> int:
         if h < mn:
             mn = h
     return mn
-
-
-def word_shingles(text: str, k: int = 3) -> Set[str]:
-    """Set of k-word shingles (lowercased)."""
-    toks = text.lower().split()
-    if len(toks) < k:
-        return {" ".join(toks)} if toks else set()
-    return {" ".join(toks[i:i + k]) for i in range(len(toks) - k + 1)}
-
-
-def char_ngrams(text: str, n: int = 5) -> Set[str]:
-    t = text.lower()
-    if len(t) <= n:
-        return {t} if t else set()
-    return {t[i:i + n] for i in range(len(t) - n + 1)}
 
 
 def jaccard(a: Set, b: Set) -> float:

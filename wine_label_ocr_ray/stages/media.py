@@ -20,7 +20,7 @@ the engine's ``ocr_full`` view) when YOLO found no vintage box.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -51,16 +51,17 @@ def _sweep_takes_gray(ocr_engine) -> bool:
         return False
 
 
-def extract_media_fields(decoded: Dict, gray: np.ndarray, *,
-                         detect_engine, ocr_engine, barcode_engine,
-                         blob_analyzer, pad: float = 0.08,
+def extract_media_fields(decoded: Dict, gray: np.ndarray,
+                         detections: List[Dict], *, ocr_engine,
+                         barcode_engine, pad: float = 0.08,
                          sweep_max_variants: int = 75,
                          sweep_takes_gray: Optional[bool] = None) -> Dict:
-    """Process ONE media payload -> span-row field dict. Pure given the
-    engines. The oracle (oracle.py) re-implements this chain
-    independently; the pipeline test asserts the two agree per row."""
+    """Route ONE media payload's detections and OCR into the span-row
+    fields (everything but ``blob``, which ``BlobAnalyzer.analyze_batch``
+    computes for a whole batch). Pure given the engines. The oracle
+    (oracle.py) re-implements this chain independently; the pipeline
+    test asserts the two agree per row."""
     W, H = decoded["w"], decoded["h"]
-    detections = detect_engine.detect(decoded)
     out_maker: Optional[str] = None
     out_vintage: Optional[str] = None
     raw: Dict[str, List] = {}
@@ -107,7 +108,6 @@ def extract_media_fields(decoded: Dict, gray: np.ndarray, *,
             out_vintage = sweep
             raw["vintage_from_fallback"] = sweep
 
-    blob = blob_analyzer.analyze(gray, detections=detections)
     return {
         "span_text": " ".join(span_texts).strip(),
         "maker_name": out_maker,
@@ -115,8 +115,16 @@ def extract_media_fields(decoded: Dict, gray: np.ndarray, *,
         "vintage_str": out_vintage,
         "vintage_by_yolo": vintage_by_yolo,
         "barcode": barcode_engine.scan(decoded),
-        "blob": blob,
     }
+
+
+def _error_fields(reason: str) -> Dict:
+    """Span-row fields of a media row whose payload is missing or
+    cannot be decoded."""
+    return {"span_text": "", "maker_name": None,
+            "raw": [{"bucket": "error", "text": reason, "conf": None}],
+            "vintage_str": None, "vintage_by_yolo": False,
+            "barcode": None, "blob": None}
 
 
 def raw_to_entries(raw: Dict) -> List[Dict]:
@@ -170,33 +178,45 @@ class MediaExtract:
 
         # compute replacement values for media rows only, then splice
         # them in — no full-column python round-trips for the (large)
-        # text-span columns
+        # text-span columns. Pass 1 decodes and routes each payload;
+        # pass 2 runs the blob leg once for every decoded image.
         vals: Dict[str, List] = {name: []
                                  for name in ("span_text", "maker_name",
                                               "raw", "vintage_str",
                                               "vintage_by_yolo", "barcode",
                                               "blob")}
-        for ref in media_refs:
+        grays: List[np.ndarray] = []
+        detections: List[List[Dict]] = []
+        blob_rows: List[int] = []
+        for row, ref in enumerate(media_refs):
             payload = payloads.get(ref)
-            if payload is None:
+            error = "missing_media" if payload is None else None
+            if payload is not None:
+                try:
+                    decoded, gray = decode_payload(payload)
+                except (ValueError, KeyError, TypeError):
+                    # truncated payload, bad JSON header, or a pixel
+                    # byte count that is not h*w
+                    error = "corrupt_media"
+            if error:
                 # poison-pill row: emit an error marker instead of
                 # failing the block (SURVEY.md section 4.2 retries note)
-                fields = {"span_text": "", "maker_name": None,
-                          "raw": [{"bucket": "error",
-                                   "text": "missing_media", "conf": None}],
-                          "vintage_str": None, "vintage_by_yolo": False,
-                          "barcode": None, "blob": None}
+                fields = _error_fields(error)
             else:
-                decoded, gray = decode_payload(payload)
+                dets = self.detect_engine.detect(decoded)
                 fields = extract_media_fields(
-                    decoded, gray, detect_engine=self.detect_engine,
-                    ocr_engine=self.ocr_engine,
-                    barcode_engine=self.barcode_engine,
-                    blob_analyzer=self.blob_analyzer, pad=self.pad,
+                    decoded, gray, dets, ocr_engine=self.ocr_engine,
+                    barcode_engine=self.barcode_engine, pad=self.pad,
                     sweep_max_variants=self.sweep_max_variants,
                     sweep_takes_gray=self.sweep_takes_gray)
+                grays.append(gray)
+                detections.append(dets)
+                blob_rows.append(row)
             for name in vals:
-                vals[name].append(fields[name])
+                vals[name].append(fields.get(name))
+        for row, blob in zip(blob_rows, self.blob_analyzer.analyze_batch(
+                grays, detections)):
+            vals["blob"][row] = blob
 
         mask_arr = pa.array(mask_np)
         # nested (list/struct) columns: replace_with_mask has no nested

@@ -65,9 +65,8 @@ def _merge_raw(raw_lists: List[List[Dict]]) -> Dict[str, List]:
 
 def _doc_fields(rows: List[Dict]):
     """Everything of the per-doc merge EXCEPT the blob pick: returns
-    (record dict without 'blob', media rows in offset order). Shared by
-    the row-dict path (``assemble_doc``) and the Arrow-native bucket
-    path (``assemble_bucket``) so the merge semantics live once."""
+    (record dict without 'blob', media rows in offset order).
+    ``assemble_bucket`` picks the blob from the Arrow column itself."""
     rows = sorted(rows, key=lambda r: (r["offset"], r["kind"],
                                        r["media_ref"] or ""))
     spans_out = [{"kind": r["kind"], "text": r["span_text"] or "",
@@ -112,23 +111,6 @@ def _doc_fields(rows: List[Dict]):
         "valid": not (key == "|" or (not maker_norm and not vintage_str)),
         "raw": raw_to_entries(merged_raw),
     }, media_rows
-
-
-def assemble_doc(rows: List[Dict]) -> Dict:
-    """rows = span rows of ONE document (any order) -> record dict.
-    Row-dict form (rows carry materialized 'blob' dicts)."""
-    rec, media_rows = _doc_fields(rows)
-    # no-media docs get the sentinel empty blob rather than a null
-    # struct: parquet cannot write null structs with list children
-    rec["blob"] = next((r["blob"] for r in media_rows
-                        if r.get("blob") is not None), None) or EMPTY_BLOB
-    return rec
-
-
-def assemble_group(group: pa.Table) -> pa.Table:
-    """``groupby("doc_id").map_groups`` callable (pyarrow batch)."""
-    return pa.Table.from_pylist([assemble_doc(group.to_pylist())],
-                                schema=RECORD_SCHEMA)
 
 
 def add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:

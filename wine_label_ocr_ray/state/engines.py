@@ -14,7 +14,7 @@ embedded ground truth deterministically (SURVEY.md section 7.0).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,6 +155,13 @@ class SyntheticBarcodeEngine(BarcodeEngine):
         return decoded.get("barcode")
 
 
+# Pixels per blob-kernel call. The kernel's temporaries (bool masks,
+# int64 histogram indices, run arrays) are a few times this, so a chunk
+# stays cache-resident: on 64x96 images one stack of a whole media
+# batch ran ~10% slower per image, 32-64 KiB chunks 50-80% slower.
+BLOB_CHUNK_BYTES = 256 * 1024
+
+
 class BlobAnalyzer:
     """The blob leg (``hybrid.py:277-363``): optional ROI crop (M15
     heuristic) and vertical alignment (M17), then Otsu text mask ->
@@ -170,7 +177,7 @@ class BlobAnalyzer:
         self.skip_alignment = skip_alignment
         self.roi_conf_threshold = roi_conf_threshold
 
-    def analyze(self, gray: np.ndarray, detections=None) -> Dict:
+    def _roi(self, gray: np.ndarray, detections) -> np.ndarray:
         H, W = gray.shape[:2]
         x1, y1, x2, y2 = (0, 0, W, H)
         if self.crop_label:
@@ -182,16 +189,41 @@ class BlobAnalyzer:
             else:
                 x1, y1, x2, y2 = find_label_roi(gray)
         roi = gray[y1:y2, x1:x2]
-        alignment_angle = 0.0
         if not self.skip_alignment:
-            roi, alignment_angle = align_vertically(roi)
-        del alignment_angle  # angle is internal; blob schema is fixed
-        rh, rw = roi.shape[:2]
-        mask, _info = imaging.create_text_mask(roi, use_image_as_mask=True)
-        blobs = imaging.extract_smart_blobs(mask, self.min_blob_area)
-        fp = blob_fingerprint(blobs, (rh, rw))
-        return {"roi_shape": [rh, rw], "blob_count": len(blobs),
-                "blob_fingerprint": fp, "blobs": blobs}
+            # the angle is internal; the blob schema is fixed
+            roi, _angle = align_vertically(roi)
+        return roi
+
+    def analyze_batch(self, grays: Sequence[np.ndarray],
+                      detections_list: Optional[Sequence] = None
+                      ) -> List[Dict]:
+        """Blob leg of many images at once: ROIs are grouped by shape
+        and each group runs through the batch kernel in chunks of at
+        most ``BLOB_CHUNK_BYTES`` pixels. Returns one blob dict per
+        image, in input order."""
+        if detections_list is None:
+            detections_list = [None] * len(grays)
+        rois = [self._roi(g, d) for g, d in zip(grays, detections_list)]
+        by_shape: Dict[Tuple[int, int], List[int]] = {}
+        for i, roi in enumerate(rois):
+            by_shape.setdefault(roi.shape[:2], []).append(i)
+        out: List[Optional[Dict]] = [None] * len(rois)
+        for (rh, rw), idx in by_shape.items():
+            step = max(1, BLOB_CHUNK_BYTES // max(rh * rw, 1))
+            for s in range(0, len(idx), step):
+                part = idx[s:s + step]
+                masks = imaging.text_masks(np.stack([rois[i] for i in part]))
+                for i, blobs in zip(part, imaging.smart_blobs(
+                        masks, self.min_blob_area)):
+                    out[i] = {"roi_shape": [rh, rw],
+                              "blob_count": len(blobs),
+                              "blob_fingerprint": blob_fingerprint(
+                                  blobs, (rh, rw)),
+                              "blobs": blobs}
+        return out
+
+    def analyze(self, gray: np.ndarray, detections=None) -> Dict:
+        return self.analyze_batch([gray], [detections])[0]
 
 
 def default_engines(confidence_threshold: float = 0.01):
