@@ -278,6 +278,9 @@ def test_scaling_all_trials_invalid_flagged(bench, tmp_path,
     assert result["all_trials_invalid"]
     assert result["trials"] == 2          # fell back to all samples
     assert result["value"] == pytest.approx((410 / 205) / 4, abs=0.001)
+    # no valid trial: the per-trial median is withheld, not labelled
+    # as a median over valid trials
+    assert result["value_per_trial_median"] is None
     bench._record_baseline(result)
     text = (tmp_path / "BASELINE.md").read_text()
     assert "EVERY trial FAILED" in text

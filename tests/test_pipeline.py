@@ -61,6 +61,19 @@ def test_blob_fingerprints_equal(pipeline_records, expected):
     assert n_with_blob > 50  # corpus actually exercises the media leg
 
 
+def test_plan_has_no_all_to_all_operator(ray_session, corpus):
+    """Doc rows carry every span of a doc, so the flagship plan needs
+    no exchange: no Sort, Aggregate or Repartition operator."""
+    def names(op):
+        yield op.name
+        for dep in op.input_dependencies:
+            yield from names(dep)
+    ops = list(names(build_extract_pipeline(corpus)._logical_plan.dag))
+    assert any("MediaExtract" in n for n in ops), ops
+    assert not [n for n in ops
+                if n.split("(")[0] in ("Sort", "Aggregate", "Repartition")]
+
+
 def test_extraction_hit_rates(pipeline_records):
     """The corpus must exercise every path: vintages found, makers
     found, some docs with neither (invalid), barcodes present."""

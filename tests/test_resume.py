@@ -1,6 +1,6 @@
 """Checkpoint/resume: kill after k partitions, restart, assert the
 final table equals a clean run with no duplicated or recomputed
-partitions (SURVEY.md section 5.2)."""
+partitions (SURVEY.md section 5.2); one pipeline execution per run."""
 
 import glob
 import os
@@ -88,30 +88,6 @@ def small_corpus(tmp_path_factory):
     return out
 
 
-def test_regroup_purges_stale_partitions(ray_session, small_corpus,
-                                         tmp_path):
-    """Re-execution under a DIFFERENT group_size (so the same shards
-    commit under a new unit name) must purge the stale unit's part dir
-    and manifest — otherwise part=*/ globs return duplicated rows."""
-    from wine_label_ocr_ray.config import PipelineConfig
-    out = str(tmp_path / "regroup_out")
-    run_checkpointed(small_corpus, out, group_size=2)
-    assert len(committed_partitions(out)) == 1  # one 2-shard group
-
-    # config change invalidates lineage; resume regroups to 1 shard/unit
-    summary = run_checkpointed(
-        small_corpus, out, PipelineConfig(confidence_threshold=0.5),
-        group_size=1)
-    assert summary["executed"] == 2 and summary["skipped"] == 0
-
-    t = _read_sorted(out)
-    assert t.num_rows == summary["metrics"]["rows"] == 80
-    # the stale grouped unit is gone entirely
-    names = set(committed_partitions(out))
-    assert not any("__" in n for n in names) and len(names) == 2
-    assert not glob.glob(os.path.join(out, "part=*__*"))
-
-
 def test_resume_survives_deleted_input_shard(ray_session, tmp_path):
     """A manifest listing a since-deleted input shard must be treated
     as a lineage mismatch (partition re-executes), not crash the
@@ -150,29 +126,6 @@ def test_config_hash_default_backcompat():
     # non-default engine/sweep DO change the hash
     assert _config_hash(PipelineConfig(sweep_max_variants=10)) != legacy
     assert _config_hash(PipelineConfig(engines="other")) != legacy
-
-
-def test_grouped_commit_equals_sequential(ray_session, corpus, tmp_path):
-    """group_size=2 runs 2 shards per pipeline execution (amortized
-    actor-pool ramp) with identical final rows; resume after a group
-    crash re-executes only the missing group."""
-    g_dir = str(tmp_path / "group_out")
-    s_dir = str(tmp_path / "seq_out")
-
-    with pytest.raises(RuntimeError, match="injected failure"):
-        run_checkpointed(corpus, g_dir, fail_after=1, group_size=2)
-    assert len(committed_partitions(g_dir)) == 1  # one 2-shard group
-
-    summary = run_checkpointed(corpus, g_dir, group_size=2)
-    assert summary["executed"] == 1 and summary["skipped"] == 1
-
-    seq = run_checkpointed(corpus, s_dir)
-    assert seq["executed"] == 4
-
-    t_group = _read_sorted(g_dir)
-    t_seq = _read_sorted(s_dir)
-    assert t_group.num_rows == t_seq.num_rows == 400
-    assert t_group.equals(t_seq)
 
 
 def test_transitional_config_hash_accepted():
@@ -233,32 +186,6 @@ def test_schema_fingerprint_change_forces_reexecution(ray_session, corpus,
     assert summary["executed"] == 1 and summary["skipped"] == 3
 
 
-def test_auto_group_size_output_identical_to_per_shard(ray_session, corpus,
-                                                       tmp_path):
-    """VERDICT r4 item 6: group_size='auto' calibrates on the first
-    shard, groups the rest so the ~8.8 s fixed cost stays <10% of a
-    group's predicted compute, and produces byte-identical output to
-    the per-shard run."""
-    auto_dir = str(tmp_path / "auto_out")
-    per_dir = str(tmp_path / "per_out")
-    summary = run_checkpointed(corpus, auto_dir, group_size="auto")
-    g = summary["auto_group_size"]
-    assert g >= 1
-    # tiny test shards => compute << fixed cost => groups go wide
-    # (bounded by remaining shard count here, AUTO_GROUP_MAX generally)
-    assert g == 3  # 4 shards: 1 calibration + 1 group of the rest
-    assert summary["executed"] == 2 and summary["partitions"] == 2
-    clean = run_checkpointed(corpus, per_dir, group_size=1)
-    assert clean["executed"] == 4
-    t_auto = _read_sorted(auto_dir)
-    t_per = _read_sorted(per_dir)
-    assert t_auto.num_rows == t_per.num_rows == 400
-    assert t_auto.equals(t_per)
-    # resume of the auto run skips everything (lineage intact)
-    again = run_checkpointed(corpus, auto_dir, group_size="auto")
-    assert again["executed"] == 0 and again["skipped"] == 2
-
-
 def test_pre_schema_manifest_rejected():
     """A manifest from before schema tracking (no 'schema' key) can no
     longer match: the record schema has changed since that era (typed
@@ -280,3 +207,130 @@ def test_pre_schema_manifest_rejected():
         assert not _lineage_matches([path], cfg, legacy)
     finally:
         os.unlink(path)
+
+
+class _BuildRecorder:
+    """Records every Dataset ``build_extract_pipeline`` returns, also
+    the one ``run_checkpointed`` builds internally."""
+
+    def __init__(self, monkeypatch):
+        from wine_label_ocr_ray.pipelines import extract
+        self.datasets = []
+        build = extract.build_extract_pipeline
+
+        def record(*args, **kwargs):
+            ds = build(*args, **kwargs)
+            self.datasets.append(ds)
+            return ds
+        monkeypatch.setattr(extract, "build_extract_pipeline", record)
+
+    def take(self):
+        out, self.datasets = self.datasets, []
+        return out
+
+
+def _operator_names(ds):
+    def walk(summary):
+        for parent in summary.parents:
+            yield from walk(parent)
+        yield from summary.operators_stats
+    return [op.operator_name for op in walk(ds._get_stats_summary())]
+
+
+def test_one_execution_per_call(ray_session, corpus, tmp_path,
+                                monkeypatch):
+    """The crashed run and its resume each run exactly one pipeline
+    execution, and the stats of that execution sit on the Dataset
+    ``build_extract_pipeline`` returned."""
+    rec = _BuildRecorder(monkeypatch)
+    out = str(tmp_path / "one_out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_checkpointed(corpus, out, fail_after=2)
+    crashed = rec.take()
+    summary = run_checkpointed(corpus, out)
+    resumed = rec.take()
+    assert summary["executed"] == 2 and summary["skipped"] == 2
+    assert len(crashed) == 1 and len(resumed) == 1
+    for ds in crashed + resumed:
+        assert any("MediaExtract" in n for n in _operator_names(ds))
+    assert run_checkpointed(corpus, out)["executed"] == 0
+    assert rec.take() == []  # nothing left to run: no execution
+    assert _read_sorted(out).num_rows == 400
+
+
+def test_zero_row_shard_commits_without_batch(ray_session, small_corpus,
+                                              tmp_path, monkeypatch):
+    """A shard without documents commits before the execution starts:
+    with ``fail_after=1`` the crash comes before any pipeline is built."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from wine_label_ocr_ray.schema import DOC_SCHEMA
+
+    corpus2 = str(tmp_path / "corpus")
+    shutil.copytree(small_corpus, corpus2)
+    pq.write_table(pa.Table.from_pylist([], schema=DOC_SCHEMA),
+                   os.path.join(corpus2, "documents", "part-9999.parquet"))
+    rec = _BuildRecorder(monkeypatch)
+    out = str(tmp_path / "z_out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_checkpointed(corpus2, out, fail_after=1)
+    assert rec.take() == []
+    assert set(committed_partitions(out)) == {"part-9999"}
+    assert committed_partitions(out)["part-9999"]["metrics"]["rows"] == 0
+
+    summary = run_checkpointed(corpus2, out)
+    assert summary["executed"] == 2 and summary["skipped"] == 1
+    assert len(rec.take()) == 1
+    assert summary["metrics"]["rows"] == _read_sorted(out).num_rows == 80
+
+
+def test_legacy_grouped_unit_skipped_or_purged(ray_session, small_corpus,
+                                               tmp_path):
+    """A unit an older version committed for a GROUP of shards
+    (``part-A__part-B`` with an ``inputs`` lineage) is skipped on resume
+    while its lineage matches, and purged entirely when it does not."""
+    import json
+    import shutil
+
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.stages.checkpoint import (_lineage,
+                                                      discover_partitions)
+    out = str(tmp_path / "legacy_out")
+    run_checkpointed(small_corpus, out)
+    shards = discover_partitions(small_corpus)
+    names = [os.path.splitext(os.path.basename(s))[0] for s in shards]
+    unit = "__".join(names)
+    metrics = {"rows": 0, "valid": 0, "vintage_found": 0, "maker_found": 0,
+               "barcode_found": 0, "blob_nonempty": 0}
+    os.makedirs(os.path.join(out, f"part={unit}"))
+    for i, name in enumerate(names):
+        for k, v in committed_partitions(out)[name]["metrics"].items():
+            if k in metrics:
+                metrics[k] += v
+        shutil.move(os.path.join(out, f"part={name}", "part-0.parquet"),
+                    os.path.join(out, f"part={unit}", f"part-{i}.parquet"))
+        shutil.rmtree(os.path.join(out, f"part={name}"))
+        os.remove(os.path.join(out, "_manifests", f"{name}.json"))
+    lineage = _lineage(shards, PipelineConfig())
+    assert "inputs" in lineage
+    manifest = os.path.join(out, "_manifests", f"{unit}.json")
+    with open(manifest, "w") as f:
+        json.dump({"lineage": lineage, "metrics": metrics,
+                   "partition": f"part={unit}"}, f)
+
+    summary = run_checkpointed(small_corpus, out)
+    assert summary["executed"] == 0 and summary["skipped"] == 1
+    assert summary["metrics"]["rows"] == 80
+    assert set(committed_partitions(out)) == {unit}
+
+    with open(manifest, "w") as f:
+        json.dump({"lineage": dict(lineage, config_hash="deadbeef"),
+                   "metrics": metrics, "partition": f"part={unit}"}, f)
+    summary = run_checkpointed(small_corpus, out)
+    assert summary["executed"] == 2 and summary["skipped"] == 0
+    assert set(committed_partitions(out)) == set(names)
+    assert not glob.glob(os.path.join(out, "part=*__*"))
+    assert _read_sorted(out).num_rows == 80

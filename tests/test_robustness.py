@@ -59,6 +59,30 @@ def test_media_heavy_doc_exact(ray_session, skewed_corpus):
     assert heavy["vintage"] == o["vintage"]
 
 
+@pytest.mark.parametrize("media_batch_size", [1, 3])
+def test_doc_boundaries_at_smallest_batches(ray_session, skewed_corpus,
+                                            media_batch_size):
+    """Every batch boundary is a document boundary: with one document
+    per block and 1- or 3-document media batches, every record still
+    equals the oracle's."""
+    from wine_label_ocr_ray.config import PipelineConfig
+
+    cfg = PipelineConfig(media_batch_size=media_batch_size,
+                         override_num_blocks=101)
+    recs = build_extract_pipeline(skewed_corpus, cfg).take_all()
+    expected = oracle_records(skewed_corpus)
+    assert sorted(r["doc_id"] for r in recs) == sorted(expected)
+    for r in recs:
+        o = expected[r["doc_id"]]
+        assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                for s in r["spans"]] == [tuple(s) for s in o["spans"]]
+        for f in ("custom_id", "maker_norm", "vintage", "barcode",
+                  "record_id", "valid", "mean_ocr_conf", "raw"):
+            assert r[f] == o[f], (r["doc_id"], f)
+        assert r["blob"]["blob_fingerprint"] == \
+            o["blob"]["blob_fingerprint"]
+
+
 def test_missing_media_is_poison_pill_not_crash(ray_session, tmp_path):
     """A dangling media_ref must produce an error-marked row, not a
     failed block (SURVEY.md section 4.2 retry/poison-pill design)."""

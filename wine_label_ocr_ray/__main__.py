@@ -46,8 +46,6 @@ def main(argv=None) -> int:
     ep.add_argument("--corpus", required=True)
     ep.add_argument("--out", required=True)
     ep.add_argument("--checkpointed", action="store_true")
-    ep.add_argument("--group-size", type=int, default=1,
-                    help="shards per checkpointed pipeline execution")
     ep.add_argument("--sweep-max-variants", type=int, default=75)
     ep.add_argument("--crop-label", action="store_true")
     ep.add_argument("--no-skip-alignment", action="store_true")
@@ -78,8 +76,7 @@ def main(argv=None) -> int:
                              debug_out=args.debug_out)
         if args.checkpointed:
             from .stages.checkpoint import run_checkpointed
-            summary = run_checkpointed(args.corpus, args.out, cfg,
-                                       group_size=args.group_size)
+            summary = run_checkpointed(args.corpus, args.out, cfg)
             print(json.dumps(summary))
         else:
             from .pipelines.extract import build_extract_pipeline

@@ -34,12 +34,12 @@ class PipelineConfig:
 
     # physical execution. media_concurrency=None -> autosize to half the
     # cluster CPUs (min 2): a pool reserving every CPU starves the read/
-    # shuffle stages and the pipeline serializes (or deadlocks).
+    # assembly stages and the pipeline serializes (or deadlocks).
     media_concurrency: Union[int, Tuple[int, int], None] = None
+    # documents (not spans) per media-actor batch
     media_batch_size: int = 1024
     media_num_cpus: float = 1.0
     override_num_blocks: Optional[int] = None
-    assembly_num_partitions: Optional[int] = None
 
     # blob-leg options (hybrid.py:277-289 kwargs)
     crop_label: bool = False

@@ -1,10 +1,15 @@
 """Flagship extraction pipeline: read -> explode -> text extract ->
-media actor pool -> groupby(doc_id) reassembly -> records.
+media actor pool -> per-doc assembly -> records.
 
 One lazy ``ray.data.Dataset`` plan end to end (SURVEY.md section 3.1
 "new engine" sketch); the streaming executor pipelines the stages with
 backpressure. Consumers write/iterate — nothing here materializes the
 full dataset.
+
+Every stage carries one row per document (stages/spans.py): all spans
+of a doc are born in its row and stay there, so each batch holds whole
+documents and assembly is a plain map. The plan has no all-to-all
+operator.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..sources.documents import read_documents
-from ..stages.media import MediaExtract
-from ..stages.reassemble import add_bucket, assemble_bucket
-from ..stages.spans import explode_spans, extract_text_spans
+from ..stages.media import DocMediaExtract
+from ..stages.reassemble import assemble_docs
+from ..stages.spans import text_doc_rows
 
 
 def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
@@ -46,7 +51,8 @@ def build_extract_pipeline(corpus_dir: str,
                            ) -> "ray.data.Dataset":
     """Returns the lazy record Dataset (schema: schema.RECORD_SCHEMA).
     ``doc_files`` restricts the read to specific document shard files
-    (the checkpointed runner's partition unit)."""
+    (the checkpointed runner's commit unit); each record then also
+    carries its source shard in a ``path`` column, as given here."""
     from .._rayprep import ensure_serializable
     ensure_serializable()
     cfg = cfg or PipelineConfig()
@@ -61,15 +67,14 @@ def build_extract_pipeline(corpus_dir: str,
 
     if doc_files is not None:
         import ray.data as rd
-        docs = rd.read_parquet(doc_files,
+        docs = rd.read_parquet(doc_files, include_paths=True,
                                override_num_blocks=cfg.override_num_blocks)
     else:
         docs = read_documents(corpus_dir,
                               override_num_blocks=cfg.override_num_blocks)
-    spans = docs.map_batches(explode_spans, batch_format="pyarrow")
-    spans = spans.map_batches(extract_text_spans, batch_format="pyarrow")
-    spans = spans.map_batches(
-        MediaExtract,
+    docs = docs.map_batches(text_doc_rows, batch_format="pyarrow")
+    docs = docs.map_batches(
+        DocMediaExtract,
         fn_constructor_kwargs=dict(
             media_path=media_path,
             confidence_threshold=cfg.confidence_threshold,
@@ -87,34 +92,10 @@ def build_extract_pipeline(corpus_dir: str,
     )
     if cfg.debug_out:
         from ..stages.debug_sink import DebugImageSink
-        spans = spans.map_batches(
+        docs = docs.map_batches(
             DebugImageSink,
             fn_constructor_kwargs=dict(media_path=media_path,
                                        out_dir=cfg.debug_out,
                                        min_blob_area=cfg.min_blob_area),
             batch_format="pyarrow", concurrency=1)
-    # Reassembly shuffle: bucket by doc-id hash (a separate TASK-pool
-    # op, NOT fused into the media actors — measured: fusing it
-    # serializes the hash onto the bottleneck actor pool and costs
-    # seconds), assemble every doc of a bucket in one map_groups call
-    # (per-doc map_groups pays ~200us of slicing overhead per document
-    # — prohibitive at 1e12 docs).
-    num_buckets = cfg.assembly_num_partitions
-    if num_buckets is None:
-        import ray
-        total_cpus = int(ray.cluster_resources().get("CPU", 4)) \
-            if ray.is_initialized() else 4
-        # default = ~1 bucket per cpu (floor 16): the groupby is a
-        # sort-based all-to-all whose scheduling overhead grows with
-        # in_blocks x partitions — measured at 150k docs/32 cpus the
-        # old 4x-cpus default (128 parts) cost 39-46 s vs 29-37 s at
-        # 16-32 parts, with identical output. Buckets must still grow
-        # with DATA (one bucket's span rows must fit a worker heap) —
-        # at real scale set assembly_num_partitions explicitly; rows
-        # are small feature structs, so ~1e6 docs/bucket is fine.
-        num_buckets = max(16, total_cpus)
-    spans = spans.map_batches(lambda t: add_bucket(t, num_buckets),
-                              batch_format="pyarrow")
-    records = (spans.groupby("bucket")
-                    .map_groups(assemble_bucket, batch_format="pyarrow"))
-    return records
+    return docs.map_batches(assemble_docs, batch_format="pyarrow")

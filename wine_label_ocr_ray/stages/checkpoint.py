@@ -2,28 +2,24 @@
 
 The reference's only durability is append-only JSONL with no
 idempotence (``hybrid.py:270-271``, ``scan_and_store.py:108-119`` —
-re-running re-appends). Here a run is split into PARTITIONS (one or
-more input document shard files each, see ``group_size``); each
-partition is written atomically (temp dir + rename) together with a
-manifest carrying lineage (input files, sizes, config hash) and
-extraction metrics (row/valid/vintage/maker/barcode counts, mean OCR
-confidence). A restarted run lists the committed manifests, verifies
-lineage, and skips those partitions — so a crash mid-run costs only
-the in-flight partition.
-
-``group_size > 1`` commits GROUPS of shards per pipeline execution:
-one streaming Dataset execution covers k shard files, amortizing the
-per-execution fixed costs (actor-pool ramp, sort barrier, write
-finalize — measured 10-14 s scale-independent, BASELINE.md) over k
-partitions. Concurrent in-driver Dataset executions were measured to
-starve each other's actor pools in this Ray version (two 8-CPU
-flagship plans deadlock), so grouping — bigger executions, not more
-of them — is the amortization mechanism.
+re-running re-appends). Here a run is ONE streaming execution of the
+flagship plan over every uncommitted input document shard. Each record
+carries its source shard; the calling process streams a shard's
+records into a temp dir and commits the shard atomically (temp dir +
+rename) together with a manifest carrying lineage (input file, size,
+config hash) and extraction metrics (row/valid/vintage/maker/barcode
+counts, mean OCR confidence) as soon as all of its records have
+arrived. A restarted
+run lists the committed manifests, verifies lineage, and skips those
+shards — so a crash mid-run costs only the shards still open.
 
 Layout:
     out_dir/part=<name>/*.parquet       (atomic: renamed from _tmp.<name>)
     out_dir/_manifests/<name>.json      (atomic: os.replace from .tmp)
-where <name> is the shard stem, or <first>__<last> for a group.
+where <name> is the shard stem. Units named <first>__<last>, whose
+lineage lists several ``inputs``, were committed by older versions
+that ran groups of shards; resume keeps such a unit while its lineage
+matches and purges it otherwise.
 """
 
 from __future__ import annotations
@@ -31,13 +27,16 @@ from __future__ import annotations
 import glob
 import hashlib
 import json
-import math
 import os
 import shutil
 from dataclasses import asdict
 from typing import Dict, List, Optional
 
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+
 from ..config import PipelineConfig
+from ..schema import RECORD_SCHEMA
 
 
 # only SEMANTIC knobs enter lineage — changing pool sizes, batch
@@ -87,26 +86,17 @@ def _lineage(doc_files: List[str], cfg: PipelineConfig) -> Dict:
         inputs.append({"input_file": doc_file, "input_bytes": st.st_size,
                        "input_mtime_ns": st.st_mtime_ns})
     out = {"config_hash": _config_hash(cfg),
-           # output-schema fingerprint: a resumed run must not mix
-           # partitions committed under a DIFFERENT record schema with
-           # fresh ones (readers would null-fill the union and
-           # downstream consumers see phantom nulls) — a schema change
-           # re-executes old partitions instead. Names AND types: a
-           # type-only change (e.g. a blob field widening) must also
-           # invalidate, not silently mix incompatible partitions
+           # output-schema fingerprint (names AND types): a resumed run
+           # must not mix partitions committed under a different record
+           # schema with fresh ones (readers would null-fill the union)
            "schema": "|".join(f"{f.name}:{f.type}"
-                              for f in _record_schema())}
+                              for f in RECORD_SCHEMA)}
     if len(inputs) == 1:
         # single-shard layout kept flat (round-1 manifest compatibility)
         out.update(inputs[0])
     else:
         out["inputs"] = inputs
     return out
-
-
-def _record_schema():
-    from ..schema import RECORD_SCHEMA
-    return RECORD_SCHEMA
 
 
 def _lineage_matches(files: List[str], cfg: PipelineConfig,
@@ -126,14 +116,15 @@ def _lineage_matches(files: List[str], cfg: PipelineConfig,
             return False
         expect = _lineage(files, cfg)
         expect["config_hash"] = prior_hash  # either accepted form
-        # manifests from before schema tracking can NOT be accepted:
-        # the record schema has changed since that era (typed raw/blob
-        # columns), so mixing those partitions with fresh ones is the
-        # exact phantom-null failure the fingerprint exists to prevent
-        # — absence of the key is a mismatch, re-execute
+        # a manifest from before schema tracking has no "schema" key,
+        # so it never matches: its record schema is an older one
         return prior_lineage == expect
     except (FileNotFoundError, OSError, TypeError, KeyError, ValueError):
         return False
+
+
+def _stem(path: str) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def discover_partitions(corpus_dir: str) -> List[str]:
@@ -150,127 +141,44 @@ def committed_partitions(out_dir: str) -> Dict[str, Dict]:
     for path in glob.glob(os.path.join(out_dir, "_manifests", "*.json")):
         try:
             with open(path) as f:
-                out[os.path.splitext(os.path.basename(path))[0]] = \
-                    json.load(f)
+                out[_stem(path)] = json.load(f)
         except (json.JSONDecodeError, OSError):
             continue
     return out
 
 
-def _group_name(doc_files: List[str]) -> str:
-    stems = [os.path.splitext(os.path.basename(p))[0] for p in doc_files]
-    return stems[0] if len(stems) == 1 else f"{stems[0]}__{stems[-1]}"
-
-
-def _execute_partition(corpus_dir: str, out_dir: str,
-                       doc_files: List[str], cfg: PipelineConfig,
-                       lineage: Dict) -> Dict:
-    """Execute + atomically commit ONE partition (one shard or a group
-    of shards in a single pipeline execution); returns its metrics.
-    Commit protocol: write to _tmp.<name>, rename to part=<name>, then
-    write the manifest to a temp file and os.replace it into
-    _manifests/ (both steps atomic; a crash between them re-executes
-    the partition, which is idempotent)."""
-    from ..pipelines.extract import build_extract_pipeline
-
-    name = _group_name(doc_files)
-    tmp_dir = os.path.join(out_dir, f"_tmp.{name}")
-    final_dir = os.path.join(out_dir, f"part={name}")
-    ds = build_extract_pipeline(corpus_dir, cfg, doc_files=doc_files)
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    shutil.rmtree(final_dir, ignore_errors=True)
-    ds.write_parquet(tmp_dir)
-
-    # metrics are folded batch-by-batch over a PRUNED projection (five
-    # scalar columns + the nested blob_count field only — never the
-    # blob struct payload), so driver memory is one record batch, not
-    # the whole partition (round-2 verdict: the old to_table() read
-    # back every committed row including blobs per commit).
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-    scanner = pads.dataset(tmp_dir).scanner(columns={
-        "valid": pc.field("valid"),
-        "vintage": pc.field("vintage"),
-        "maker_name": pc.field("maker_name"),
-        "barcode": pc.field("barcode"),
-        "mean_ocr_conf": pc.field("mean_ocr_conf"),
-        "blob_count": pc.field("blob", "blob_count"),
-    })
-    rows = valid = vintage_f = maker_f = barcode_f = blob_ne = 0
-    conf_sum, conf_n = 0.0, 0
-    for b in scanner.to_batches():
-        rows += b.num_rows
-        valid += int(pc.sum(pc.cast(b.column(0), "int64")).as_py() or 0)
-        vintage_f += b.num_rows - b.column(1).null_count
-        maker_f += b.num_rows - b.column(2).null_count
-        barcode_f += b.num_rows - b.column(3).null_count
-        conf = b.column(4)
-        conf_sum += pc.sum(conf).as_py() or 0.0
-        conf_n += len(conf) - conf.null_count
-        blob_ne += int(pc.sum(pc.cast(pc.greater(
-            b.column(5), 0), "int64")).as_py() or 0)
-    metrics = {
-        "rows": rows,
-        "valid": valid,
-        "vintage_found": int(vintage_f),
-        "maker_found": int(maker_f),
-        "barcode_found": int(barcode_f),
-        "blob_nonempty": blob_ne,
-        "mean_ocr_conf": float(conf_sum / conf_n) if conf_n else 0.0,
-    }
-    os.rename(tmp_dir, final_dir)  # atomic data commit
-    manifest_path = os.path.join(out_dir, "_manifests", f"{name}.json")
-    manifest_tmp = manifest_path + ".tmp"
-    with open(manifest_tmp, "w") as f:
-        json.dump({"lineage": lineage, "metrics": metrics,
-                   "partition": f"part={name}"}, f)
-    os.replace(manifest_tmp, manifest_path)  # atomic manifest commit
-    return metrics
-
-
-# Fixed cost of ONE checkpointed pipeline execution (actor-pool ramp,
-# sort barrier, write finalize) — measured scale-independent at 8.8 s
-# on the bench host (BASELINE.md round 4); override with
-# WLOR_CKPT_FIXED_S when the deployment differs.
-def _fixed_cost_s() -> float:
-    return float(os.environ.get("WLOR_CKPT_FIXED_S", 8.8))
-
-
-# commit-granularity ceiling for auto-grouping: a crash re-executes at
-# most one group, so never let amortization make groups unboundedly
-# wide even when shards are tiny
-AUTO_GROUP_MAX = 64
+def _fold(metrics: Dict, records) -> None:
+    """Adds one record batch to a shard's running manifest metrics
+    (the blob column is read through its ``blob_count`` field only)."""
+    n = records.num_rows
+    conf = records.column("mean_ocr_conf")
+    metrics["rows"] += n
+    metrics["valid"] += pc.sum(records.column("valid")).as_py() or 0
+    metrics["vintage_found"] += n - records.column("vintage").null_count
+    metrics["maker_found"] += n - records.column("maker_name").null_count
+    metrics["barcode_found"] += n - records.column("barcode").null_count
+    metrics["blob_nonempty"] += pc.sum(pc.greater(pc.struct_field(
+        records.column("blob"), "blob_count"), 0)).as_py() or 0
+    metrics["conf_sum"] += pc.sum(conf).as_py() or 0.0
+    metrics["conf_n"] += len(conf) - conf.null_count
 
 
 def run_checkpointed(corpus_dir: str, out_dir: str,
                      cfg: Optional[PipelineConfig] = None, *,
-                     fail_after: Optional[int] = None,
-                     group_size=1) -> Dict:
-    """Run the flagship pipeline partition-by-partition with atomic
-    commits; skips partitions already committed with matching lineage.
-    ``fail_after=k`` injects a crash after k commits (for resume
-    tests). ``group_size=k`` runs k uncommitted shards per pipeline
-    execution/commit (amortizes fixed ramp; a crash re-executes at
-    most one k-shard group).
-
-    ``group_size="auto"`` (VERDICT r4 item 6) sizes the groups from
-    measurement instead of a guess: the first uncommitted shard runs
-    alone and is timed; its compute time (elapsed minus the known
-    ~8.8 s fixed cost) predicts per-shard cost, and the remaining
-    shards are grouped so the fixed cost is <10 percent of a group's
-    predicted compute (capped at ``AUTO_GROUP_MAX`` — commit
-    granularity still bounds crash re-execution). Output rows are
-    byte-identical to any other grouping (tests/test_resume.py).
+                     fail_after: Optional[int] = None) -> Dict:
+    """Run the flagship pipeline as ONE streaming execution over every
+    shard not yet committed with matching lineage. A shard commits once
+    it has as many records as its parquet footer has documents; docs
+    without spans make no record, so shards still short commit when the
+    stream ends. ``fail_after=k`` injects a crash after k commits (for
+    resume tests).
 
     Returns {"partitions": committed units, "executed": n,
-             "skipped": n, "metrics": aggregated,
-             "auto_group_size": g (auto mode only)}.
+             "skipped": n, "metrics": aggregated}.
     """
-    from .. import synth  # noqa: F401  (corpus format docs)
+    from ..pipelines.extract import build_extract_pipeline
 
     cfg = cfg or PipelineConfig()
-    auto = group_size == "auto"
-    group_size = 1 if auto else max(1, int(group_size))
     shards = discover_partitions(corpus_dir)
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)
     # clear stale in-flight temp dirs from a previous crashed run
@@ -278,91 +186,106 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
         shutil.rmtree(stale, ignore_errors=True)
     committed = committed_partitions(out_dir)
 
-    executed = skipped = 0
+    # keep every committed unit (its own stem, or a legacy group) whose
+    # lineage still matches; its shards are done
     totals = {"rows": 0, "valid": 0, "vintage_found": 0, "maker_found": 0,
               "barcode_found": 0, "blob_nonempty": 0}
-    todo: List[str] = []
-    units = 0
-    # a shard is committed if it appears in any committed unit (its own
-    # stem, or a group that contains it) with matching lineage
-    for shard_path in shards:
-        done = False
-        for name, prior in committed.items():
-            lin = prior.get("lineage", {})
-            files = [i["input_file"] for i in lin.get("inputs", [])] \
-                if "inputs" in lin else [lin.get("input_file")]
-            if shard_path in files:
-                if _lineage_matches(files, cfg, lin):
-                    done = True
-                break
-        if done:
-            continue
-        todo.append(shard_path)
-    kept = set()
+    done = set()
+    skipped = executed = 0
     for name, prior in committed.items():
         lin = prior.get("lineage", {})
-        files = [i["input_file"] for i in lin.get("inputs", [])] \
+        # flat single-shard lineage, or a legacy group's ``inputs``
+        files = [i["input_file"] for i in lin["inputs"]] \
             if "inputs" in lin else [lin.get("input_file")]
         if all(f in shards for f in files) \
-                and _lineage_matches(files, cfg, lin) \
-                and not any(f in todo for f in files):
-            kept.add(name)
+                and _lineage_matches(files, cfg, lin):
+            done.update(files)
             skipped += 1
-            units += 1
             for k in totals:
                 totals[k] += prior["metrics"][k]
+            continue
+        # purge every other unit: it overlaps a shard being re-executed
+        # (lineage mismatch) or references inputs no longer in the
+        # corpus (orphan); left behind, readers globbing part=*/ would
+        # see its stale rows alongside the fresh ones
+        shutil.rmtree(os.path.join(out_dir, f"part={name}"),
+                      ignore_errors=True)
+        try:
+            os.remove(os.path.join(out_dir, "_manifests", f"{name}.json"))
+        except OSError:
+            pass
 
-    # purge every committed unit NOT kept above: it overlaps a shard
-    # being re-executed (lineage mismatch — and a regroup under a
-    # different group_size re-commits the same shard under a NEW unit
-    # name), or references inputs no longer in the corpus (orphan).
-    # Leaving either behind means readers globbing part=*/ see the
-    # stale rows alongside the fresh ones and counts silently double.
-    for name in committed:
-        if name not in kept:
-            shutil.rmtree(os.path.join(out_dir, f"part={name}"),
-                          ignore_errors=True)
-            try:
-                os.remove(os.path.join(out_dir, "_manifests",
-                                       f"{name}.json"))
-            except OSError:
-                pass
+    pending = {s: {"left": pq.read_metadata(s).num_rows, "writer": None,
+                   "lineage": _lineage([s], cfg),
+                   "metrics": dict(dict.fromkeys(totals, 0),
+                                   conf_sum=0.0, conf_n=0)}
+               for s in shards if s not in done}
 
-    summary_extra: Dict = {}
-    if auto and todo:
-        # calibration execution: first shard alone, timed
-        import time as _time
-        t0 = _time.monotonic()
-        metrics = _execute_partition(corpus_dir, out_dir, todo[:1], cfg,
-                                     _lineage(todo[:1], cfg))
-        elapsed = _time.monotonic() - t0
+    def write(shard: str, records) -> None:
+        st = pending[shard]
+        if st["writer"] is None:
+            tmp_dir = os.path.join(out_dir, f"_tmp.{_stem(shard)}")
+            os.makedirs(tmp_dir, exist_ok=True)
+            st["writer"] = pq.ParquetWriter(
+                os.path.join(tmp_dir, "part-0.parquet"), RECORD_SCHEMA)
+        st["writer"].write_table(records)
+        _fold(st["metrics"], records)
+        st["left"] -= records.num_rows
+
+    def commit(shard: str) -> None:
+        """Close the shard's file in _tmp.<name>, rename that dir to
+        part=<name>, then write the manifest to a temp file and
+        os.replace it into _manifests/ (both steps atomic; a crash
+        between them re-executes the shard, which is idempotent)."""
+        nonlocal executed
+        if pending[shard]["writer"] is None:
+            write(shard, RECORD_SCHEMA.empty_table())
+        st = pending.pop(shard)
+        st["writer"].close()
+        metrics = st["metrics"]
+        conf_sum, conf_n = metrics.pop("conf_sum"), metrics.pop("conf_n")
+        metrics["mean_ocr_conf"] = conf_sum / conf_n if conf_n else 0.0
+        name = _stem(shard)
+        final_dir = os.path.join(out_dir, f"part={name}")
+        shutil.rmtree(final_dir, ignore_errors=True)
+        os.rename(os.path.join(out_dir, f"_tmp.{name}"), final_dir)
+        manifest = os.path.join(out_dir, "_manifests", f"{name}.json")
+        with open(manifest + ".tmp", "w") as f:
+            json.dump({"lineage": st["lineage"], "metrics": metrics,
+                       "partition": f"part={name}"}, f)
+        os.replace(manifest + ".tmp", manifest)
         executed += 1
-        units += 1
         for k in totals:
             totals[k] += metrics[k]
-        todo = todo[1:]
-        fixed = _fixed_cost_s()
-        per_shard = max(elapsed - fixed, 0.05)
-        want = math.ceil(10 * fixed / per_shard)  # fixed <10% of group
-        group_size = max(1, min(AUTO_GROUP_MAX, want))
-        if todo:
-            group_size = min(group_size, len(todo))
-        summary_extra["auto_group_size"] = group_size
         if fail_after is not None and executed >= fail_after:
             raise RuntimeError(
                 f"injected failure after {executed} partitions")
 
-    for i in range(0, len(todo), group_size):
-        group = todo[i:i + group_size]
-        metrics = _execute_partition(corpus_dir, out_dir, group, cfg,
-                                     _lineage(group, cfg))
-        executed += 1
-        units += 1
-        for k in totals:
-            totals[k] += metrics[k]
-        if fail_after is not None and executed >= fail_after:
-            raise RuntimeError(
-                f"injected failure after {executed} partitions")
+    batches = None
+    try:
+        for shard in [s for s, st in pending.items() if st["left"] == 0]:
+            commit(shard)
+        if pending:
+            batches = iter(build_extract_pipeline(
+                corpus_dir, cfg, doc_files=list(pending)).iter_batches(
+                    batch_size=None, batch_format="pyarrow"))
+        for batch in batches or ():
+            path = batch.column("path")
+            for shard in pc.unique(path).to_pylist():
+                write(shard, batch.filter(pc.equal(path, shard))
+                      .drop_columns(["path"]))
+                if pending[shard]["left"] <= 0:
+                    commit(shard)
+        for shard in list(pending):
+            commit(shard)
+    finally:
+        # close the stream so an abandoned execution releases its actor
+        # pool before the next run starts
+        if batches is not None:
+            batches.close()
+        for st in pending.values():
+            if st["writer"] is not None:
+                st["writer"].close()
 
-    return {"partitions": units, "executed": executed,
-            "skipped": skipped, "metrics": totals, **summary_extra}
+    return {"partitions": skipped + executed, "executed": executed,
+            "skipped": skipped, "metrics": totals}

@@ -9,7 +9,7 @@ layout (original ROI / text mask / blob overlay / stats panel), the
 dots, and the separate ``*_blobs_only`` overlay — rendered grayscale
 (cycling gray levels stand in for the reference's 8-color cycle) with
 a built-in 3x5 bitmap font instead of cv2.putText, written as binary
-PGM (zero deps). Rows pass through untouched.
+PGM (zero deps). Doc rows pass through untouched.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import pyarrow as pa
 from ..functions.imaging import create_text_mask, extract_smart_blobs
 from ..sources.media import MediaStore
 from ..synth import decode_payload
+from .spans import span_rows_of
 
 # --------------------------------------------------------------- font
 # 3x5 bitmap glyphs (rows of 3 bits, top to bottom) covering the
@@ -171,8 +172,9 @@ class DebugImageSink:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.limit is not None and self._written >= self.limit:
             return batch
-        kinds = batch.column("kind").to_pylist()
-        refs = batch.column("media_ref").to_pylist()
+        spans = span_rows_of(batch)
+        kinds = spans.column("kind").to_pylist()
+        refs = spans.column("media_ref").to_pylist()
         media_refs = [r for r, k in zip(refs, kinds) if k == "media"]
         payloads = self._store.fetch(media_refs)
         for ref in media_refs:

@@ -8,7 +8,8 @@ once per actor in ``__init__`` (the reference's module-global
 singletons, ``final_run_ocr.py:41-80``), each ``__call__`` processes an
 Arrow batch of span rows, fetching only that batch's payloads from the
 media store. Text rows pass through untouched (see stages/spans.py for
-the single-pass routing rationale).
+the single-pass routing rationale). ``DocMediaExtract`` is the same
+actor over the flagship plan's doc rows.
 
 Field-routing semantics are an exact port of ``_extract_fields``
 (``final_run_ocr.py:299-351``): per-class candidate buckets, the
@@ -29,6 +30,7 @@ from ..functions import text as T
 from ..functions.imaging import pad_box
 from ..sources.media import MediaStore
 from ..state.engines import BlobAnalyzer, decode_payload, resolve_engines
+from .spans import nest_spans, span_rows_of
 
 _MAKER_CLASSES = frozenset({"maker_name", "producer", "winery"})
 _VINTAGE_CLASSES = frozenset({"vintage", "year"})
@@ -241,3 +243,11 @@ class MediaExtract:
                 replaced = pc.replace_with_mask(col, mask_arr, new_vals)
             out = out.set_column(field_idx, name, replaced)
         return out
+
+
+class DocMediaExtract(MediaExtract):
+    """``MediaExtract`` over doc rows: flattens the batch's nested span
+    rows, runs the span-row ``__call__`` and re-nests them."""
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return nest_spans(batch, super().__call__(span_rows_of(batch)))

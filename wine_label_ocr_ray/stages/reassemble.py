@@ -1,4 +1,4 @@
-"""Span reassembly + record assembly: the ``groupby(doc_id)`` shuffle.
+"""Span reassembly + record assembly: doc rows -> one record per doc.
 
 Re-stitches extracted span rows into per-document ordered span
 sequences (north-rule invariant: ``(kind, text, media_ref, order)``
@@ -22,10 +22,12 @@ order, documented here and mirrored by the oracle):
   canonical key uses the STRING vintage (``scan_and_store.py:46-47``).
 - valid: the empty-key guard (``scan_and_store.py:198-209``).
 
-Rows entering this shuffle are small TYPED feature structs (blob
-features as an Arrow struct, raw candidates as a list-of-struct —
-never pixels, never JSON), so the all-to-all exchange stays cheap at
-scale and nothing re-parses on the assembly side.
+The flagship plan carries one row per document from the read onward
+(stages/spans.py), so every span of a doc reaches ``assemble_docs`` in
+the same batch and no exchange is needed. ``assemble_bucket`` keeps
+the span-row contract (all spans of each doc in one table), and
+``add_bucket`` the doc-hash bucket that groups the spans of a doc in
+a span-per-row shuffle (stages/stitch.py).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from ..functions import text as T
 from ..schema import BLOB_STRUCT, RECORD_SCHEMA
 from .bucketing import hash_mod
 from .media import raw_to_entries
+from .spans import span_rows_of
 
 # Sentinel for documents with no media span (reference records carry
 # BlobData = {} when the blob leg never ran, WineTracker.py:28).
@@ -114,7 +117,7 @@ def _doc_fields(rows: List[Dict]):
 
 
 def add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Deterministic doc bucket for the amortized reassembly shuffle
+    """Deterministic doc bucket for a span-row reassembly shuffle
     (the shared ``bucketing.hash_mod``; bucket values are internal to
     the shuffle and dropped at assembly)."""
     return batch.append_column(
@@ -128,9 +131,10 @@ _SCHEMA_NO_BLOB = pa.schema([f for f in RECORD_SCHEMA
 
 
 def assemble_bucket(group: pa.Table) -> pa.Table:
-    """``groupby("bucket").map_groups`` callable: assembles EVERY doc
-    in the bucket in one call (one to_pylist + one from_pylist instead
-    of per-doc table slicing — amortizes the per-group overhead ~300x).
+    """Span rows -> records: assembles EVERY doc in the table in one
+    call (one to_pylist + one from_pylist instead of per-doc table
+    slicing — amortizes the per-group overhead ~300x), in order of each
+    doc's first span row.
 
     The blob column never touches Python: ``to_pylist`` of a
     list<struct> blob (up to ~130 x 10-field dicts PER ROW) costs ~3x
@@ -141,10 +145,6 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     one zero-copy ``pc.take`` (no-media docs point at an appended
     EMPTY_BLOB sentinel: parquet cannot write null structs with list
     children).
-
-    Scale note: bucket count must grow with data so one bucket's span
-    rows fit a worker's heap (PipelineConfig.assembly_num_partitions;
-    rows are small feature structs, so ~1e6 docs/bucket is fine).
     """
     import pyarrow.compute as pc
 
@@ -174,3 +174,19 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     out = out.append_column("blob", pc.take(blobs, pa.array(blob_idx,
                                                             pa.int64())))
     return out.select(RECORD_SCHEMA.names)
+
+
+def assemble_docs(docs: pa.Table) -> pa.Table:
+    """Doc rows -> RECORD_SCHEMA records in input-doc order (a doc
+    without spans makes no record). Columns other than ``doc_id`` and
+    ``spans`` (the source ``path`` of a checkpointed run) ride along."""
+    import pyarrow.compute as pc
+
+    records = assemble_bucket(span_rows_of(docs))
+    extra = [n for n in docs.column_names if n not in ("doc_id", "spans")]
+    if extra:
+        has_spans = pc.greater(pc.list_value_length(docs.column("spans")), 0)
+        for name in extra:
+            records = records.append_column(
+                name, docs.column(name).filter(has_spans))
+    return records

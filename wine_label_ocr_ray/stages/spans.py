@@ -1,13 +1,20 @@
-"""Stateless span stages: explode documents into span rows and run the
-vectorized text-span extractors.
+"""Stateless span stages: explode documents into span rows, run the
+vectorized text-span extractors, and nest span rows back under their
+documents.
 
 Design note (single-pass routing): Ray Data datasets are lazy plans —
 filtering one exploded dataset twice (text branch / media branch) would
-re-execute the read+explode per branch. Instead the pipeline is a
-single stream of span rows flowing through BOTH stages; each stage
-transforms the rows of its kind and passes the others through
-untouched. At cluster scale that keeps the input single-read and lets
-the streaming executor pipeline the stages (SURVEY.md section 7.2).
+re-execute the read+explode per branch. Instead every stage sees all
+span rows; each stage transforms the rows of its kind and passes the
+others through untouched. At cluster scale that keeps the input
+single-read and lets the streaming executor pipeline the stages
+(SURVEY.md section 7.2).
+
+Design note (doc rows): between stages the flagship plan carries ONE
+row per document, its span rows nested as a list of
+``SPAN_ROW_FIELDS`` structs (``nest_spans``). Every batch boundary is then a document boundary, so
+the per-doc reassembly needs no exchange: each stage flattens its
+batch (``span_rows_of``), runs the span-row function and re-nests.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from ..functions import text as T
 from ..schema import BLOB_STRUCT, RAW_TYPE
 
 # Intermediate span-row schema shared by the text and media stages.
-# raw + blob are TYPED Arrow columns riding the reassembly shuffle
+# raw + blob are TYPED Arrow columns carried between the stages
 # (features only, never pixels — SURVEY.md section 4.2 "never shuffle
 # wide rows"); no JSON serialize/parse anywhere on the flagship path.
 #
@@ -118,3 +125,32 @@ def extract_text_spans(batch: pa.Table) -> pa.Table:
     ).set_column(
         batch.schema.get_field_index("text_year"), "text_year",
         pa.array(years, pa.string()))
+
+
+def span_rows_of(docs: pa.Table) -> pa.Table:
+    """Doc rows (``spans``: list of ``SPAN_ROW_FIELDS`` structs) ->
+    their span rows in doc order, zero-copy."""
+    spans = docs.column("spans").combine_chunks()
+    return pa.Table.from_struct_array(spans.flatten())
+
+
+def nest_spans(docs: pa.Table, rows: pa.Table) -> pa.Table:
+    """Replaces the ``spans`` column of ``docs`` with ``rows`` (span rows
+    in doc order, one per element of each doc's list) nested one list
+    per doc; every other column rides along untouched."""
+    spans = docs.column("spans").combine_chunks()
+    lengths = pc.fill_null(pc.list_value_length(spans), 0).to_numpy()
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    values = pa.StructArray.from_arrays(
+        [rows.column(f.name).combine_chunks() for f in SPAN_ROW_SCHEMA],
+        fields=list(SPAN_ROW_SCHEMA))
+    return docs.set_column(docs.schema.get_field_index("spans"), "spans",
+                           pa.ListArray.from_arrays(pa.array(offsets),
+                                                    values))
+
+
+def text_doc_rows(docs: pa.Table) -> pa.Table:
+    """Read-side stage of the flagship plan: documents -> doc rows whose
+    span rows went through ``explode_spans`` and ``extract_text_spans``."""
+    return nest_spans(docs, extract_text_spans(explode_spans(docs)))
