@@ -2,6 +2,13 @@
 span-sequence equality (kind, text, media_ref, order) + record-field
 equality (the BASELINE.json north-rule invariant)."""
 
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+
 import pytest
 
 from wine_label_ocr_ray.oracle import oracle_records
@@ -72,6 +79,70 @@ def test_plan_has_no_all_to_all_operator(ray_session, corpus):
     assert any("MediaExtract" in n for n in ops), ops
     assert not [n for n in ops
                 if n.split("(")[0] in ("Sort", "Aggregate", "Repartition")]
+
+
+# Driver for test_flagship_with_package_shipped_by_value_only: the repo
+# root reaches the driver through sys.path alone, so the Ray workers
+# get the package only as the by-value pickles of _rayprep.
+_BY_VALUE_DRIVER = """
+import sys
+root, corpus, ray_tmp, out = sys.argv[1:]
+sys.path.insert(0, root)
+import ray
+from wine_label_ocr_ray.pipelines.extract import build_extract_pipeline
+ray.init(address="local", num_cpus=2, object_store_memory=128 << 20,
+         include_dashboard=False, logging_level="ERROR",
+         log_to_driver=False, _temp_dir=ray_tmp)
+try:
+    build_extract_pipeline(corpus).write_parquet(out)
+finally:
+    ray.shutdown()
+"""
+
+
+def test_flagship_with_package_shipped_by_value_only(tmp_path):
+    """The flagship in a fresh 2-CPU session whose driver runs outside
+    the checkout: a stage that imports from the package at call time
+    (e.g. a function-level relative import) fails on the workers here,
+    though in-process tests pass. Records must equal the oracle's."""
+    import pyarrow.parquet as pq
+
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=40, seed=17)
+    out = str(tmp_path / "records")
+    work = tmp_path / "cwd"
+    work.mkdir()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    ray_tmp = tempfile.mkdtemp(prefix="wlor-")  # short: socket path cap
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _BY_VALUE_DRIVER, root, corpus, ray_tmp,
+         out], cwd=str(work), env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, start_new_session=True)
+    try:
+        log, _ = proc.communicate(timeout=300)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    errors = [line for line in log.decode(errors="replace").splitlines()
+              if "Error" in line]
+    assert proc.returncode == 0, "\n".join(errors[-10:])
+    records = pq.read_table(out).to_pylist()
+    expected = oracle_records(corpus)
+    assert sorted(r["doc_id"] for r in records) == sorted(expected)
+    for r in records:
+        o = expected[r["doc_id"]]
+        assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                for s in r["spans"]] == [tuple(s) for s in o["spans"]]
+        for f in RECORD_FIELDS:
+            assert r[f] == o[f], (r["doc_id"], f)
+        assert r["blob"]["blob_fingerprint"] == \
+            o["blob"]["blob_fingerprint"]
 
 
 def test_extraction_hit_rates(pipeline_records):

@@ -336,3 +336,160 @@ def test_analyze_batch_matches_naive_per_image():
         want = _naive_blobs(m.astype(np.uint8) * 255, 5.0)
         _assert_same_blobs(got[i], want, i)
         assert {b["y"] for b in got[i]} >= {0, 12}
+
+
+# --- column-wise record assembly vs a row-wise reference -------------
+
+def _ref_merge_raw(raw_lists):
+    merged = {}
+    for entries in raw_lists:
+        if not entries:
+            continue
+        for e in entries:
+            if e["conf"] is None:
+                merged.setdefault(e["bucket"], e["text"])
+            else:
+                merged.setdefault(e["bucket"], []).append(
+                    (e["text"], e["conf"]))
+    return merged
+
+
+def _ref_record(rows):
+    """Row-wise reference of one doc's record: every span row as a
+    dict, sorted by (offset, kind, media_ref), merged in Python."""
+    from wine_label_ocr_ray.stages.media import raw_to_entries
+    from wine_label_ocr_ray.stages.reassemble import EMPTY_BLOB
+
+    rows = sorted(rows, key=lambda r: (r["offset"], r["kind"],
+                                       r["media_ref"] or ""))
+    media_rows = [r for r in rows if r["kind"] == "media"]
+    maker_raw = None
+    for r in media_rows:
+        m = r["maker_name"]
+        if m and len(m) >= 2 and (not maker_raw or len(m) > len(maker_raw)):
+            maker_raw = m
+    merged_raw = _ref_merge_raw([r["raw"] for r in media_rows])
+    maker_norm = T.normalize_maker(maker_raw) if maker_raw else ""
+    if not maker_norm:
+        maker_norm = T.extract_best_maker_from_raw(merged_raw)
+    maker_out = maker_norm or None
+    vintage_str = next((r["vintage_str"] for r in media_rows
+                        if r["vintage_str"]), None)
+    if vintage_str is None:
+        vintage_str = next((r["text_year"] for r in rows
+                            if r["kind"] == "text" and r["text_year"]), None)
+    vintage_int = T.to_int_year(vintage_str)
+    confs = [c for arr in merged_raw.values() if isinstance(arr, list)
+             for (_t, c) in arr]
+    key = T.canonical_key(maker_norm, vintage_str)
+    return {
+        "doc_id": rows[0]["doc_id"],
+        "spans": [{"kind": r["kind"], "text": r["span_text"] or "",
+                   "media_ref": r["media_ref"] or "", "order": r["offset"]}
+                  for r in rows],
+        "custom_id": T.custom_id(maker_out, vintage_int),
+        "maker_name": maker_out,
+        "maker_norm": maker_norm,
+        "vintage": vintage_int,
+        "barcode": next((r["barcode"] for r in media_rows if r["barcode"]),
+                        None),
+        "key": key,
+        "record_id": T.hash_id(maker_norm, vintage_str),
+        "valid": not (key == "|" or (not maker_norm and not vintage_str)),
+        "mean_ocr_conf": (sum(confs) / len(confs)) if confs else 0.0,
+        "blob": next((r["blob"] for r in media_rows
+                      if r["blob"] is not None), EMPTY_BLOB),
+        "raw": raw_to_entries(merged_raw),
+    }
+
+
+_MAYBE = [None, ""]
+_LIST_BUCKETS = ["maker_name", "vintage", "maker_name_candidates",
+                 "vintage_candidates"]
+_BARE_BUCKETS = ["vintage_from_fallback", "error"]
+_RAW_ENTRY = st.one_of(
+    st.fixed_dictionaries({
+        "bucket": st.sampled_from(_LIST_BUCKETS),
+        "text": st.sampled_from(["", ".", "ab", "Opus One", "château x",
+                                 "2019"]),
+        "conf": st.sampled_from([0.0, 0.25, 0.9, 1.0 / 3])}),
+    st.fixed_dictionaries({
+        "bucket": st.sampled_from(_BARE_BUCKETS),
+        "text": st.sampled_from(["1999", "corrupt_media"]),
+        "conf": st.none()}))
+_BLOB = st.one_of(st.none(), st.builds(
+    lambda fp, n: {"roi_shape": [4, n], "blob_count": n,
+                   "blob_fingerprint": fp,
+                   "blobs": [{"x": i, "y": 0, "w": 1, "h": 1, "cx": 0.5,
+                              "cy": 0.5, "area": 1.0, "aspect_ratio": 1.0,
+                              "solidity": 1.0, "extent": 1.0}
+                             for i in range(n)]},
+    st.sampled_from(["f0", "f1", "f2"]), st.integers(0, 2)))
+_SPAN_ROW = st.fixed_dictionaries({
+    "offset": st.integers(0, 3),
+    "kind": st.sampled_from(["text", "media"]),
+    "media_ref": st.sampled_from(_MAYBE + ["a", "b", "é", "z"]),
+    "span_text": st.sampled_from(_MAYBE + ["x", "VINTAGE 2001"]),
+    "text_year": st.sampled_from(_MAYBE + ["2005", "2011"]),
+    "maker_name": st.sampled_from(_MAYBE + ["A", "Opus", "CHÂTEAU Y"]),
+    "raw": st.one_of(
+        st.none(), st.lists(_RAW_ENTRY, max_size=4),
+        st.just([{"bucket": "error", "text": "corrupt_media",
+                  "conf": None}])),
+    "vintage_str": st.sampled_from(_MAYBE + ["1999", "2001", "19x9"]),
+    "vintage_by_yolo": st.booleans(),
+    "barcode": st.sampled_from(_MAYBE + ["123", "456"]),
+    "blob": _BLOB,
+})
+_DOC_IDS = st.sampled_from(["d0", "d1", "d2", "d3"])
+
+
+def _span_table(rows):
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.stages.spans import SPAN_ROW_SCHEMA
+    return pa.Table.from_pylist(rows, schema=SPAN_ROW_SCHEMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DOC_IDS, _SPAN_ROW), max_size=14))
+def test_assemble_bucket_matches_rowwise_reference(tagged):
+    """Span rows of several docs, interleaved: one record per doc_id in
+    first-appearance order, equal to the row-wise reference."""
+    from wine_label_ocr_ray.schema import RECORD_SCHEMA
+    from wine_label_ocr_ray.stages.reassemble import assemble_bucket
+
+    rows = [dict(r, doc_id=d) for d, r in tagged]
+    by_doc = {}
+    for r in rows:
+        by_doc.setdefault(r["doc_id"], []).append(r)
+    out = assemble_bucket(_span_table(rows))
+    assert out.schema.equals(RECORD_SCHEMA)
+    assert out.to_pylist() == [_ref_record(g) for g in by_doc.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_DOC_IDS, st.lists(_SPAN_ROW, max_size=5)),
+                max_size=6))
+def test_assemble_docs_matches_rowwise_reference(docs):
+    """Doc rows (some without spans, doc_ids may repeat) plus a riding
+    ``path`` column: one record per doc row with spans, in input order,
+    with its own ``path``."""
+    import numpy as np
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.stages.reassemble import assemble_docs
+    from wine_label_ocr_ray.stages.spans import SPAN_ROW_SCHEMA
+
+    rows = [dict(r, doc_id=d) for d, spans in docs for r in spans]
+    offsets = np.zeros(len(docs) + 1, dtype=np.int32)
+    np.cumsum([len(spans) for _d, spans in docs], out=offsets[1:])
+    values = pa.array(rows, pa.struct(list(SPAN_ROW_SCHEMA)))
+    paths = [f"part-{i}" for i in range(len(docs))]
+    table = pa.table({
+        "doc_id": pa.array([d for d, _s in docs], pa.string()),
+        "spans": pa.ListArray.from_arrays(pa.array(offsets), values),
+        "path": pa.array(paths, pa.string())})
+    want = [dict(_ref_record([dict(r, doc_id=d) for r in spans]), path=p)
+            for (d, spans), p in zip(docs, paths) if spans]
+    assert assemble_docs(table).to_pylist() == want

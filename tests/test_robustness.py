@@ -83,6 +83,32 @@ def test_doc_boundaries_at_smallest_batches(ray_session, skewed_corpus,
             o["blob"]["blob_fingerprint"]
 
 
+def test_repeated_doc_id_in_one_batch_gives_one_record_per_row():
+    """Ray-free: two doc rows sharing a ``doc_id`` in one batch stay two
+    records, in input order, each with its own spans and riding
+    ``path`` (merging them made the output depend on where batch
+    boundaries fall, and broke the ``path`` append)."""
+    from wine_label_ocr_ray.stages.reassemble import assemble_docs
+    from wine_label_ocr_ray.stages.spans import text_doc_rows
+
+    docs = pa.Table.from_pylist([
+        {"doc_id": "doc-dup", "spans": [
+            {"kind": "text", "text": "VINTAGE 2001", "media_ref": "",
+             "offset": 0}]},
+        {"doc_id": "doc-dup", "spans": [
+            {"kind": "text", "text": "bottled 1999", "media_ref": "",
+             "offset": 0},
+            {"kind": "text", "text": "second", "media_ref": "",
+             "offset": 1}]},
+    ], schema=DOC_SCHEMA)
+    docs = docs.append_column("path", pa.array(["part-0", "part-1"]))
+    recs = assemble_docs(text_doc_rows(docs)).to_pylist()
+    assert [(r["doc_id"], r["path"], r["vintage"],
+             [s["text"] for s in r["spans"]]) for r in recs] == [
+        ("doc-dup", "part-0", 2001, ["VINTAGE 2001"]),
+        ("doc-dup", "part-1", 1999, ["bottled 1999", "second"])]
+
+
 def test_missing_media_is_poison_pill_not_crash(ray_session, tmp_path):
     """A dangling media_ref must produce an error-marked row, not a
     failed block (SURVEY.md section 4.2 retry/poison-pill design)."""

@@ -1,4 +1,4 @@
-"""Span reassembly + record assembly: doc rows -> one record per doc.
+"""Span reassembly + record assembly: span rows -> one record per doc.
 
 Re-stitches extracted span rows into per-document ordered span
 sequences (north-rule invariant: ``(kind, text, media_ref, order)``
@@ -22,25 +22,35 @@ order, documented here and mirrored by the oracle):
   canonical key uses the STRING vintage (``scan_and_store.py:46-47``).
 - valid: the empty-key guard (``scan_and_store.py:198-209``).
 
-The flagship plan carries one row per document from the read onward
-(stages/spans.py), so every span of a doc reaches ``assemble_docs`` in
-the same batch and no exchange is needed. ``assemble_bucket`` keeps
-the span-row contract (all spans of each doc in one table), and
-``add_bucket`` the doc-hash bucket that groups the spans of a doc in
-a span-per-row shuffle (stages/stitch.py).
+One column-wise kernel (``_records``) builds every record field as an
+Arrow column: one stable ``pc.sort_indices`` over (record, offset,
+kind, media_ref or "") — Arrow compares UTF-8 bytes, i.e. Python's
+code-point order — a zero-copy ``ListArray`` of the sorted spans, and
+numpy "first row per record where a mask holds" picks for vintage,
+barcode and blob. Python runs only where no Arrow kernel fits: the
+maker/raw/confidence merge over each record's MEDIA rows, and
+custom_id/key/record_id/valid (sha1) once per distinct
+(maker_norm, vintage) pair.
+
+The flagship plan carries one row per doc (stages/spans.py), so
+``assemble_docs`` sees whole docs and needs no exchange;
+``assemble_bucket`` and ``add_bucket`` keep the span-row shuffle
+contract (stages/stitch.py).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions import text as T
-from ..schema import BLOB_STRUCT, RECORD_SCHEMA
+from ..schema import BLOB_STRUCT, OUT_SPAN_STRUCT, RAW_TYPE, RECORD_SCHEMA
 from .bucketing import hash_mod
 from .media import raw_to_entries
-from .spans import span_rows_of
+from .spans import SPAN_ROW_SCHEMA, span_rows_of
 
 # Sentinel for documents with no media span (reference records carry
 # BlobData = {} when the blob leg never ran, WineTracker.py:28).
@@ -48,72 +58,124 @@ EMPTY_BLOB = {"roi_shape": [0, 0], "blob_count": 0,
               "blob_fingerprint": "", "blobs": []}
 
 
-def _merge_raw(raw_lists: List[List[Dict]]) -> Dict[str, List]:
-    """Typed RAW entry lists (stages.spans.RAW_TYPE) -> the reference's
-    candidate map. Entry order is the original dict insertion order, so
-    setdefault-merge reproduces the per-image map merge exactly; a NULL
-    conf marks a bare-string bucket value (vintage_from_fallback)."""
+def _merge_raw(entries) -> Dict[str, List]:
+    """(bucket, text, conf) RAW entries in offset order -> the reference's
+    candidate map: setdefault-merge in dict insertion order; a NULL conf
+    marks a bare-string bucket value (vintage_from_fallback)."""
     merged: Dict[str, List] = {}
-    for entries in raw_lists:
-        if not entries:
-            continue
-        for e in entries:
-            if e["conf"] is None:  # bare string bucket
-                merged.setdefault(e["bucket"], e["text"])
-            else:
-                merged.setdefault(e["bucket"], []).append(
-                    (e["text"], e["conf"]))
+    for bucket, text, conf in entries:
+        if conf is None:  # bare string bucket
+            merged.setdefault(bucket, text)
+        else:
+            merged.setdefault(bucket, []).append((text, conf))
     return merged
 
 
-def _doc_fields(rows: List[Dict]):
-    """Everything of the per-doc merge EXCEPT the blob pick: returns
-    (record dict without 'blob', media rows in offset order).
-    ``assemble_bucket`` picks the blob from the Arrow column itself."""
-    rows = sorted(rows, key=lambda r: (r["offset"], r["kind"],
-                                       r["media_ref"] or ""))
-    spans_out = [{"kind": r["kind"], "text": r["span_text"] or "",
-                  "media_ref": r["media_ref"] or "", "order": r["offset"]}
-                 for r in rows]
-    media_rows = [r for r in rows if r["kind"] == "media"]
-
+def _media_merge(makers: List, entries):
+    """One record's media-row makers and RAW entries (offset order) ->
+    (maker_norm, typed raw entries, mean OCR confidence)."""
     maker_raw = None
-    for r in media_rows:
-        m = r["maker_name"]
+    for m in makers:
         if m and len(m) >= 2 and (not maker_raw or len(m) > len(maker_raw)):
             maker_raw = m
-    merged_raw = _merge_raw([r["raw"] for r in media_rows])
+    merged = _merge_raw(entries)
     maker_norm = T.normalize_maker(maker_raw) if maker_raw else ""
     if not maker_norm:
-        maker_norm = T.extract_best_maker_from_raw(merged_raw)
-    maker_out = maker_norm or None
-
-    vintage_str = next((r["vintage_str"] for r in media_rows
-                        if r["vintage_str"]), None)
-    if vintage_str is None:
-        vintage_str = next((r["text_year"] for r in rows
-                            if r["kind"] == "text" and r["text_year"]), None)
-    vintage_int = T.to_int_year(vintage_str)
-
-    barcode = next((r["barcode"] for r in media_rows if r["barcode"]), None)
-
-    confs = [c for arr in merged_raw.values() if isinstance(arr, list)
+        maker_norm = T.extract_best_maker_from_raw(merged)
+    confs = [c for arr in merged.values() if isinstance(arr, list)
              for (_t, c) in arr]
-    key = T.canonical_key(maker_norm, vintage_str)
-    return {
-        "mean_ocr_conf": (sum(confs) / len(confs)) if confs else 0.0,
-        "doc_id": rows[0]["doc_id"],
-        "spans": spans_out,
-        "custom_id": T.custom_id(maker_out, vintage_int),
-        "maker_name": maker_out,
-        "maker_norm": maker_norm,
-        "vintage": vintage_int,
-        "barcode": barcode,
-        "key": key,
-        "record_id": T.hash_id(maker_norm, vintage_str),
-        "valid": not (key == "|" or (not maker_norm and not vintage_str)),
-        "raw": raw_to_entries(merged_raw),
-    }, media_rows
+    return (maker_norm, raw_to_entries(merged),
+            (sum(confs) / len(confs)) if confs else 0.0)
+
+
+def _key_fields(maker_norm: str, vintage_str: str):
+    """custom_id, maker_name, vintage, record_id, valid of one key."""
+    vintage = T.to_int_year(vintage_str)
+    return (T.custom_id(maker_norm or None, vintage), maker_norm or None,
+            vintage, T.hash_id(maker_norm, vintage_str),
+            bool(maker_norm or vintage_str))
+
+
+def _records(rows: pa.Table, rec: np.ndarray, doc_id: pa.Array) -> pa.Table:
+    """The column-wise kernel: span rows, the record index of each row
+    and one ``doc_id`` per record (every record has a row) ->
+    RECORD_SCHEMA records in record order."""
+    n = len(doc_id)
+    col = {f.name: rows.column(f.name).combine_chunks()
+           for f in SPAN_ROW_SCHEMA}
+    media_ref = pc.fill_null(col["media_ref"], "")
+    order = pc.sort_indices(
+        pa.table({"r": rec, "o": col["offset"], "k": col["kind"],
+                  "m": media_ref}),
+        sort_keys=[(c, "ascending") for c in "rokm"]).to_numpy().astype(
+            np.int64)
+    s_rec = rec[order]
+    is_kind = {k: pc.equal(col["kind"], k) for k in ("media", "text")}
+
+    def sorted_pos(where):  # sorted positions where an Arrow mask holds
+        return np.flatnonzero(pc.fill_null(where, False).to_numpy(
+            zero_copy_only=False)[order])
+
+    def pick(arr, where, default=-1):  # arr at each record's first row
+        # where the mask holds, else at row ``default`` (-1: null)
+        pos = sorted_pos(where)
+        pos = pos[np.diff(s_rec[pos], prepend=-1) != 0]
+        idx = np.full(n, default, dtype=np.int64)
+        idx[s_rec[pos]] = order[pos]
+        return pc.take(arr, pa.array(idx, mask=idx < 0))
+
+    def nonempty(name, kind):
+        return pc.and_(is_kind[kind],
+                       pc.greater(pc.binary_length(col[name]), 0))
+
+    spans = pa.ListArray.from_arrays(
+        np.r_[0, np.cumsum(np.bincount(rec, minlength=n))].astype(np.int32),
+        pa.StructArray.from_arrays(
+            [pc.take(col["kind"], order),
+             pc.take(pc.fill_null(col["span_text"], ""), order),
+             pc.take(media_ref, order), pc.take(col["offset"], order)],
+            fields=list(OUT_SPAN_STRUCT)))
+    vintage_str = pc.coalesce(
+        pick(col["vintage_str"], nonempty("vintage_str", "media")),
+        pick(col["text_year"], nonempty("text_year", "text")))
+    barcode = pick(col["barcode"], nonempty("barcode", "media"))
+    blob = pick(pa.concat_arrays([col["blob"],
+                                  pa.array([EMPTY_BLOB], BLOB_STRUCT)]),
+                pc.and_(is_kind["media"], col["blob"].is_valid()),
+                default=len(col["blob"]))
+
+    # maker/raw/confidence: Python over the media rows of each record
+    m_pos = sorted_pos(is_kind["media"])
+    m_rec = s_rec[m_pos]
+    makers = pc.take(col["maker_name"], order[m_pos]).to_pylist()
+    raw_m = pc.take(col["raw"], order[m_pos])
+    triples = list(zip(*(pc.struct_field(raw_m.flatten(), f).to_pylist()
+                         for f in ("bucket", "text", "conf"))))
+    ent = np.r_[0, np.cumsum(pc.fill_null(pc.list_value_length(raw_m),
+                                          0))].tolist()
+    starts = np.flatnonzero(np.diff(m_rec, prepend=-1)).tolist()
+    norms, raws, conf = [""] * n, [[]] * n, np.zeros(n)
+    for a, b in zip(starts, starts[1:] + [len(m_pos)]):
+        r = m_rec[a]
+        norms[r], raws[r], conf[r] = _media_merge(makers[a:b],
+                                                  triples[ent[a]:ent[b]])
+
+    # key = canonical_key as one Arrow column (maker_norm never holds a
+    # "|"); the other key fields in Python once per distinct key
+    maker_norm = pa.array(norms, pa.string())
+    key = pc.binary_join_element_wise(maker_norm,
+                                      pc.fill_null(vintage_str, ""), "|")
+    keys = pc.dictionary_encode(key)
+    per_key = [_key_fields(*k.split("|", 1))
+               for k in keys.dictionary.to_pylist()]
+    out = {f: pc.take(pa.array([p[i] for p in per_key],
+                               RECORD_SCHEMA.field(f).type), keys.indices)
+           for i, f in enumerate(("custom_id", "maker_name", "vintage",
+                                  "record_id", "valid"))}
+    out.update(doc_id=doc_id, spans=spans, maker_norm=maker_norm, key=key,
+               barcode=barcode, mean_ocr_conf=pa.array(conf), blob=blob,
+               raw=pa.array(raws, RAW_TYPE))
+    return pa.Table.from_pydict(out, schema=RECORD_SCHEMA)
 
 
 def add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
@@ -124,69 +186,28 @@ def add_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
         "bucket", hash_mod(batch.column("doc_id"), num_buckets))
 
 
-# RECORD_SCHEMA minus the blob column: assemble_bucket builds records
-# without blobs, then splices the blob COLUMN in as Arrow (below)
-_SCHEMA_NO_BLOB = pa.schema([f for f in RECORD_SCHEMA
-                             if f.name != "blob"])
-
-
 def assemble_bucket(group: pa.Table) -> pa.Table:
-    """Span rows -> records: assembles EVERY doc in the table in one
-    call (one to_pylist + one from_pylist instead of per-doc table
-    slicing — amortizes the per-group overhead ~300x), in order of each
-    doc's first span row.
-
-    The blob column never touches Python: ``to_pylist`` of a
-    list<struct> blob (up to ~130 x 10-field dicts PER ROW) costs ~3x
-    the whole assembly (measured, /tmp/assemble_micro A/B r4-vs-r5),
-    and each doc keeps only its FIRST media blob anyway — so rows are
-    materialized without it, the per-doc pick is just a row index
-    against an Arrow validity bitmap, and the output blob column is
-    one zero-copy ``pc.take`` (no-media docs point at an appended
-    EMPTY_BLOB sentinel: parquet cannot write null structs with list
-    children).
-    """
-    import pyarrow.compute as pc
-
-    blob_col = group.column("blob")
-    if isinstance(blob_col, pa.ChunkedArray):
-        blob_col = blob_col.combine_chunks()
-    blob_ok = blob_col.is_valid().to_numpy(zero_copy_only=False)
-    rows = group.drop_columns(["blob"]).to_pylist()
-    for pos, r in enumerate(rows):
-        r["_pos"] = pos
-    by_doc: dict = {}
-    for r in rows:
-        by_doc.setdefault(r["doc_id"], []).append(r)
-
-    records, blob_idx = [], []
-    empty_pos = len(blob_col)  # appended sentinel below
-    for doc_rows in by_doc.values():
-        rec, media_rows = _doc_fields(doc_rows)
-        pos = next((r["_pos"] for r in media_rows if blob_ok[r["_pos"]]),
-                   empty_pos)
-        blob_idx.append(pos)
-        records.append(rec)
-
-    out = pa.Table.from_pylist(records, schema=_SCHEMA_NO_BLOB)
-    blobs = pa.concat_arrays(
-        [blob_col, pa.array([EMPTY_BLOB], type=BLOB_STRUCT)])
-    out = out.append_column("blob", pc.take(blobs, pa.array(blob_idx,
-                                                            pa.int64())))
-    return out.select(RECORD_SCHEMA.names)
+    """Span rows -> records: one record per ``doc_id``, in order of each
+    doc's first span row (the spans of a doc may interleave with other
+    docs' rows). No-media docs get the EMPTY_BLOB sentinel: parquet
+    cannot write null structs with list children."""
+    ids = pc.dictionary_encode(group.column("doc_id").combine_chunks(),
+                               null_encoding="encode")
+    return _records(group, ids.indices.to_numpy(), ids.dictionary)
 
 
 def assemble_docs(docs: pa.Table) -> pa.Table:
-    """Doc rows -> RECORD_SCHEMA records in input-doc order (a doc
-    without spans makes no record). Columns other than ``doc_id`` and
-    ``spans`` (the source ``path`` of a checkpointed run) ride along."""
-    import pyarrow.compute as pc
-
-    records = assemble_bucket(span_rows_of(docs))
-    extra = [n for n in docs.column_names if n not in ("doc_id", "spans")]
-    if extra:
-        has_spans = pc.greater(pc.list_value_length(docs.column("spans")), 0)
-        for name in extra:
-            records = records.append_column(
-                name, docs.column(name).filter(has_spans))
-    return records
+    """Doc rows -> RECORD_SCHEMA records, one per doc row with at least
+    one span, in input order (doc rows sharing a ``doc_id`` stay
+    separate records). Columns other than ``doc_id`` and ``spans`` (the
+    source ``path`` of a checkpointed run) ride along."""
+    lengths = pc.fill_null(pc.list_value_length(
+        docs.column("spans").combine_chunks()), 0).to_numpy()
+    keep = lengths > 0
+    kept = docs.drop_columns(["spans"]).filter(pa.array(keep))
+    records = _records(span_rows_of(docs), np.repeat(np.cumsum(keep) - 1,
+                                                     lengths),
+                       kept.column("doc_id").combine_chunks())
+    ride = kept.drop_columns(["doc_id"])
+    return pa.Table.from_arrays(records.columns + ride.columns,
+                                records.column_names + ride.column_names)

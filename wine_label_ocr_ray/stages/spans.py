@@ -114,12 +114,11 @@ def extract_text_spans(batch: pa.Table) -> pa.Table:
 
     has_digits = pc.match_substring_regex(cleaned, r"\d{4}")
     candidate_mask = pc.and_(is_text, has_digits)
-    mask_np = candidate_mask.to_numpy(zero_copy_only=False)
+    cand = np.flatnonzero(candidate_mask.to_numpy(zero_copy_only=False))
     years: List = [None] * len(batch)
-    if mask_np.any():
-        texts = cleaned.to_pylist()
-        for i in np.flatnonzero(mask_np):
-            years[i] = T.extract_year_from_text(texts[i])
+    for i, text in zip(cand.tolist(),
+                       cleaned.take(pa.array(cand)).to_pylist()):
+        years[i] = T.extract_year_from_text(text)
     return batch.set_column(
         batch.schema.get_field_index("span_text"), "span_text", span_text
     ).set_column(
