@@ -100,6 +100,44 @@ finally:
 """
 
 
+def test_flagship_with_batch_only_engines(ray_session, corpus, expected):
+    """Engines whose scalar methods raise: the media stage calls only
+    ``detect_batch``, ``ocr_boxes``, ``ocr_sweeps`` and ``scan_batch``,
+    so every record still equals the oracle's."""
+    from wine_label_ocr_ray.config import PipelineConfig
+
+    # defined inside the test so cloudpickle ships it by value
+    def batch_only_engines(confidence_threshold: float = 0.01):
+        from wine_label_ocr_ray.state.engines import (
+            SyntheticBarcodeEngine, SyntheticDetectEngine,
+            SyntheticOcrEngine)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar engine method called")
+
+        class Detect(SyntheticDetectEngine):
+            detect = scalar
+
+        class Ocr(SyntheticOcrEngine):
+            ocr_box = ocr_full = ocr_sweep = scalar
+
+        class Barcode(SyntheticBarcodeEngine):
+            scan = scalar
+
+        return Detect(confidence_threshold), Ocr(), Barcode()
+
+    recs = build_extract_pipeline(
+        corpus, PipelineConfig(engines=batch_only_engines)).take_all()
+    assert sorted(r["doc_id"] for r in recs) == sorted(expected)
+    for r in recs:
+        o = expected[r["doc_id"]]
+        assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                for s in r["spans"]] == [tuple(s) for s in o["spans"]]
+        for f in RECORD_FIELDS:
+            assert r[f] == o[f], f"{r['doc_id']}.{f}"
+        assert r["blob"] == o["blob"], r["doc_id"]
+
+
 def test_flagship_with_package_shipped_by_value_only(tmp_path):
     """The flagship in a fresh 2-CPU session whose driver runs outside
     the checkout: a stage that imports from the package at call time

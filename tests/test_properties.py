@@ -1,6 +1,9 @@
 """Hypothesis property tests for the scalar kernels."""
 
-from hypothesis import given, settings
+import hashlib
+
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wine_label_ocr_ray.functions import fuzzy as F
@@ -336,6 +339,115 @@ def test_analyze_batch_matches_naive_per_image():
         want = _naive_blobs(m.astype(np.uint8) * 255, 5.0)
         _assert_same_blobs(got[i], want, i)
         assert {b["y"] for b in got[i]} >= {0, 12}
+
+
+# --- chunked blob fingerprint vs the scalar reference ----------------
+
+def _ref_fingerprint(blobs, roi_shape):
+    """The scalar per-image ``blob_fingerprint`` (``hybrid.py:229-242``)
+    that ``blob_fingerprints`` replaced: Python ``round``, a stable
+    ``(cy, cx)`` sort and ``str()`` of the tuple list."""
+    if not blobs:
+        return "empty"
+    H, W = roi_shape
+    feats = []
+    for b in sorted(blobs, key=lambda x: (x["cy"], x["cx"])):
+        feats.append((
+            round(b["cx"] / W, 3),
+            round(b["cy"] / H, 3),
+            round(b["w"] / W, 3),
+            round(b["h"] / H, 3),
+            round(b["area"] / (W * H), 4),
+        ))
+    return hashlib.md5(str(feats).encode()).hexdigest()[:16]
+
+
+def _ratio(ndigits):
+    """A feature ratio: an x.xxx5 tie at ``ndigits`` decimals (the
+    double nearest (2i+1) / (2 * 10**ndigits): exact when it is
+    dyadic, like 0.0625, a hair above or below it otherwise), a tie
+    one ulp off, a 1/64 step or any float in [0, 1]."""
+    tie = st.integers(0, 10 ** ndigits - 1).map(
+        lambda i: (2 * i + 1) / (2 * 10 ** ndigits))
+    return st.one_of(tie, tie.map(lambda t: float(np.nextafter(t, 1.0))),
+                     tie.map(lambda t: float(np.nextafter(t, 0.0))),
+                     st.integers(0, 64).map(lambda k: k / 64),
+                     st.floats(0.0, 1.0))
+
+
+@st.composite
+def _roi_blobs(draw):
+    """An ROI shape (1xN and Nx1 included, sides not powers of ten) and
+    0 to many blobs, some sharing a (cy, cx) key."""
+    H = draw(st.one_of(st.just(1), st.integers(1, 3000)))
+    W = draw(st.one_of(st.just(1), st.integers(1, 3000)))
+    blobs = []
+    for _ in range(draw(st.integers(0, 8))):
+        blobs.append({"cx": draw(_ratio(3)) * W,
+                      "cy": draw(_ratio(3)) * H,
+                      "w": draw(st.integers(1, W)),
+                      "h": draw(st.integers(1, H)),
+                      "area": draw(_ratio(4)) * W * H})
+        if draw(st.booleans()):  # same key: the stable sort decides
+            blobs.append(dict(blobs[-1], w=draw(st.integers(1, W)),
+                              area=draw(_ratio(4)) * W * H))
+    return (H, W), blobs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_roi_blobs(), max_size=4))
+# decimal ties whose scaled doubles land exactly on the half while the
+# doubles lie above (0.0005, 0.00005) or below (0.0045, 0.00035) it,
+# an exact tie (0.0625), -0.0 and a 1x1 ROI
+@example([((1, 1), [{"cx": 0.0005, "cy": 0.0045, "w": 1, "h": 1,
+                     "area": 0.00005},
+                    {"cx": 0.0625, "cy": 0.0045, "w": 1, "h": 1,
+                     "area": 0.00035},
+                    {"cx": 0.0005, "cy": 0.0045, "w": 1, "h": 1,
+                     "area": -0.0}])])
+def test_chunked_fingerprint_matches_scalar_reference(images):
+    """``blob_fingerprints`` over several ROIs of different shapes in
+    one call, and ``blob_fingerprint`` of each, equal the scalar
+    reference byte for byte."""
+    from wine_label_ocr_ray.functions.blobs import (blob_fingerprint,
+                                                    blob_fingerprints)
+
+    want = [_ref_fingerprint(blobs, shape) for shape, blobs in images]
+    cols = [np.array([b[k] for _, blobs in images for b in blobs],
+                     dtype=np.float64)
+            for k in ("cx", "cy", "w", "h", "area")]
+    offsets = np.cumsum([0] + [len(blobs) for _, blobs in images])
+    shapes = np.array([shape for shape, _ in images],
+                      dtype=np.int64).reshape(-1, 2)
+    assert blob_fingerprints(offsets, *cols, shapes[:, 0],
+                             shapes[:, 1]) == want
+    assert [blob_fingerprint(blobs, shape)
+            for shape, blobs in images] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from([(1, 40), (40, 1), (3, 57), (24, 32), (37, 53),
+                     (64, 96)]),
+    st.integers(0, 2 ** 31 - 1)), min_size=1, max_size=8))
+def test_analyze_batch_fingerprints_match_scalar_reference(specs):
+    """Mixed shapes in one ``analyze_batch`` call: every image's
+    fingerprint equals the scalar reference over its own blobs."""
+    from wine_label_ocr_ray.state.engines import BlobAnalyzer
+
+    grays = []
+    for (h, w), seed in specs:
+        rng = np.random.RandomState(seed)
+        g = (rng.rand(h, w) * 40).astype(np.uint8)
+        for _ in range(rng.randint(0, 7)):
+            bw, bh = rng.randint(1, w + 1), rng.randint(1, h + 1)
+            x, y = rng.randint(0, w - bw + 1), rng.randint(0, h - bh + 1)
+            g[y:y + bh, x:x + bw] = 180 + rng.randint(0, 60)
+        grays.append(g)
+    for g, res in zip(grays, BlobAnalyzer(5.0).analyze_batch(grays)):
+        assert res["roi_shape"] == list(g.shape)
+        assert res["blob_fingerprint"] == \
+            _ref_fingerprint(res["blobs"], g.shape)
 
 
 # --- column-wise record assembly vs a row-wise reference -------------

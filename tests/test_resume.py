@@ -128,39 +128,6 @@ def test_config_hash_default_backcompat():
     assert _config_hash(PipelineConfig(engines="other")) != legacy
 
 
-def test_transitional_config_hash_accepted():
-    """Manifests written by the transitional version (which always
-    included engines/sweep_max_variants in the hash payload) must
-    still match under the default config — a resume after upgrade
-    must not re-execute every committed partition."""
-    from wine_label_ocr_ray.config import PipelineConfig
-    from wine_label_ocr_ray.stages.checkpoint import (
-        _accepted_config_hashes, _config_hash, _lineage,
-        _lineage_matches)
-    cfg = PipelineConfig()
-    canonical = _config_hash(cfg)
-    legacy = _config_hash(cfg, legacy_always_include=True)
-    assert canonical != legacy
-    assert _accepted_config_hashes(cfg) == {canonical, legacy}
-    import tempfile, os
-    with tempfile.NamedTemporaryFile(suffix=".parquet",
-                                     delete=False) as f:
-        f.write(b"x" * 10)
-        path = f.name
-    try:
-        lin = _lineage([path], cfg)
-        legacy_lin = dict(lin, config_hash=legacy)
-        assert _lineage_matches([path], cfg, lin)
-        assert _lineage_matches([path], cfg, legacy_lin)
-        assert not _lineage_matches([path], cfg,
-                                    dict(lin, config_hash="deadbeef"))
-        # non-default config: neither form of the DEFAULT hash matches
-        other = PipelineConfig(sweep_max_variants=10)
-        assert not _lineage_matches([path], other, lin)
-    finally:
-        os.unlink(path)
-
-
 def test_schema_fingerprint_change_forces_reexecution(ray_session, corpus,
                                                       tmp_path):
     """VERDICT r4 item 3 + ADVICE r4: a partition committed under a
@@ -201,10 +168,10 @@ def test_pre_schema_manifest_rejected():
         f.write(b"x" * 10)
         path = f.name
     try:
-        lin = _lineage([path], cfg)
-        assert _lineage_matches([path], cfg, lin)
+        lin = _lineage(path, cfg)
+        assert _lineage_matches(path, cfg, lin)
         legacy = {k: v for k, v in lin.items() if k != "schema"}
-        assert not _lineage_matches([path], cfg, legacy)
+        assert not _lineage_matches(path, cfg, legacy)
     finally:
         os.unlink(path)
 
@@ -285,52 +252,3 @@ def test_zero_row_shard_commits_without_batch(ray_session, small_corpus,
     assert summary["executed"] == 2 and summary["skipped"] == 1
     assert len(rec.take()) == 1
     assert summary["metrics"]["rows"] == _read_sorted(out).num_rows == 80
-
-
-def test_legacy_grouped_unit_skipped_or_purged(ray_session, small_corpus,
-                                               tmp_path):
-    """A unit an older version committed for a GROUP of shards
-    (``part-A__part-B`` with an ``inputs`` lineage) is skipped on resume
-    while its lineage matches, and purged entirely when it does not."""
-    import json
-    import shutil
-
-    from wine_label_ocr_ray.config import PipelineConfig
-    from wine_label_ocr_ray.stages.checkpoint import (_lineage,
-                                                      discover_partitions)
-    out = str(tmp_path / "legacy_out")
-    run_checkpointed(small_corpus, out)
-    shards = discover_partitions(small_corpus)
-    names = [os.path.splitext(os.path.basename(s))[0] for s in shards]
-    unit = "__".join(names)
-    metrics = {"rows": 0, "valid": 0, "vintage_found": 0, "maker_found": 0,
-               "barcode_found": 0, "blob_nonempty": 0}
-    os.makedirs(os.path.join(out, f"part={unit}"))
-    for i, name in enumerate(names):
-        for k, v in committed_partitions(out)[name]["metrics"].items():
-            if k in metrics:
-                metrics[k] += v
-        shutil.move(os.path.join(out, f"part={name}", "part-0.parquet"),
-                    os.path.join(out, f"part={unit}", f"part-{i}.parquet"))
-        shutil.rmtree(os.path.join(out, f"part={name}"))
-        os.remove(os.path.join(out, "_manifests", f"{name}.json"))
-    lineage = _lineage(shards, PipelineConfig())
-    assert "inputs" in lineage
-    manifest = os.path.join(out, "_manifests", f"{unit}.json")
-    with open(manifest, "w") as f:
-        json.dump({"lineage": lineage, "metrics": metrics,
-                   "partition": f"part={unit}"}, f)
-
-    summary = run_checkpointed(small_corpus, out)
-    assert summary["executed"] == 0 and summary["skipped"] == 1
-    assert summary["metrics"]["rows"] == 80
-    assert set(committed_partitions(out)) == {unit}
-
-    with open(manifest, "w") as f:
-        json.dump({"lineage": dict(lineage, config_hash="deadbeef"),
-                   "metrics": metrics, "partition": f"part={unit}"}, f)
-    summary = run_checkpointed(small_corpus, out)
-    assert summary["executed"] == 2 and summary["skipped"] == 0
-    assert set(committed_partitions(out)) == set(names)
-    assert not glob.glob(os.path.join(out, "part=*__*"))
-    assert _read_sorted(out).num_rows == 80

@@ -163,6 +163,69 @@ def test_ocr_sweep_cap_contract():
     assert fields["vintage_str"] == "2016"
 
 
+def test_ultralytics_detect_batch_one_model_call(monkeypatch):
+    """``UltralyticsDetect.detect_batch`` runs the model once per batch
+    (a fake ``ultralytics`` module stands in for the package) and gives
+    every image the detections a per-image ``detect`` gives it."""
+    import sys
+    import types
+
+    from wine_label_ocr_ray.state.adapters import UltralyticsDetect
+
+    class Tensor:
+        def __init__(self, values):
+            self.values = np.asarray(values, dtype=np.float32)
+
+        def cpu(self):
+            return self
+
+        def numpy(self):
+            return self.values
+
+    def result(level):
+        """Image content decides its boxes: a result without boxes
+        (level 3) or ``level % 4`` boxes of class ids 0-3, id 3 having
+        no reference class name (it maps to "3")."""
+        if level == 3:
+            return types.SimpleNamespace(boxes=None)
+        k = level % 4
+        return types.SimpleNamespace(boxes=types.SimpleNamespace(
+            xyxy=Tensor(np.reshape([[level, 2 * j, level + 10.5,
+                                     2 * j + 4.25] for j in range(k)],
+                                   (k, 4))),
+            cls=Tensor([(level + j) % 4 for j in range(k)]),
+            conf=Tensor([0.5 + 0.125 * j for j in range(k)])))
+
+    calls = []
+
+    class YOLO:
+        def __init__(self, weights):
+            self.weights = weights
+
+        def __call__(self, images, conf, verbose):
+            calls.append((len(images), conf))
+            return [result(int(img[0, 0])) for img in images]
+
+    monkeypatch.setitem(sys.modules, "ultralytics",
+                        types.SimpleNamespace(YOLO=YOLO))
+    det = UltralyticsDetect("w.pt", confidence_threshold=0.25)
+    decoded = [{"pixels": np.full((6, 8), level, np.uint8)}
+               for level in (0, 1, 2, 3, 5, 6, 7)]
+    batch = det.detect_batch(decoded)
+    assert calls == [(7, 0.25)]
+    per_image = [det.detect(d) for d in decoded]
+    assert len(calls) == 1 + len(decoded)
+    assert batch.per_image(len(decoded)) == per_image
+    assert [len(d) for d in per_image] == [0, 1, 2, 0, 1, 2, 3]
+    assert per_image[6] == [
+        {"class": "3", "box": [7.0, 0.0, 17.5, 4.25], "confidence": 0.5},
+        {"class": "Distinct Logo", "box": [7.0, 2.0, 17.5, 6.25],
+         "confidence": 0.625},
+        {"class": "Maker-Name", "box": [7.0, 4.0, 17.5, 8.25],
+         "confidence": 0.75}]
+    assert det.detect_batch([]).per_image(0) == [] and len(calls) == 8
+
+
 def test_engine_factory_seam(ray_session, tmp_path):
     """A second (non-synthetic) engine factory plugs through
     PipelineConfig.engines into the actor pool and visibly changes the

@@ -1,8 +1,9 @@
 """Blob fingerprint + geometric blob-set similarity (reference ports).
 
-- ``blob_fingerprint``   -> ``data_extraction_functions/hybrid.py:229-242``
-  (verified byte-exact against all 5 golden rows of
-  ``/root/reference/wine_database.jsonl``).
+- ``blob_fingerprints``  -> ``data_extraction_functions/hybrid.py:229-242``
+  for a batch of images; ``blob_fingerprint`` is its one-image entry
+  point (verified byte-exact against all 5 golden rows of the
+  reference's ``wine_database.jsonl``).
 - ``blob_similarity``    -> ``similarity_functions/BlobSimilarity.py:20-144``.
   The assignment step defaults to the reference's own greedy argsort
   fallback (``BlobSimilarity.py:86-93``) — matching the behavior a
@@ -35,22 +36,128 @@ DEFAULT_WEIGHTS = {
 }
 
 
+def _scaled_round(x: np.ndarray, ndigits: int) -> np.ndarray:
+    """``round(abs(v), ndigits) * 10**ndigits`` of every v as an exact
+    int64. Python rounds the exact binary value, ties to even. The
+    float product ``y`` of ``abs(v)`` and the scale misleads ``rint``
+    only when it lands exactly on a half-integer; then its exact
+    rounding error (Dekker's two-product, exact because the scale
+    needs at most 14 bits) tells which side the true value lies on."""
+    scale = 10.0 ** ndigits
+    a = np.abs(x)
+    y = a * scale
+    if not (np.isfinite(y) & (y < 2.0 ** 40)).all():
+        raise ValueError("blob fingerprint features must be finite and "
+                         "below 1e9")
+    c = a * 134217729.0  # 2**27 + 1: Veltkamp split a = hi + lo
+    hi = c - (c - a)
+    err = (hi * scale - y) + (a - hi) * scale  # y + err == a * scale
+    k = np.rint(y)
+    floor = np.floor(y)
+    tie = y - floor == 0.5
+    k[tie & (err > 0)] = floor[tie & (err > 0)] + 1
+    k[tie & (err < 0)] = floor[tie & (err < 0)]
+    return k.astype(np.int64)
+
+
+def _fraction_table(ndigits: int):
+    """The ``ndigits`` ASCII digits of every fraction 0..10**ndigits-1
+    and their used mask: no trailing zeros but the first digit."""
+    digits = (np.arange(10 ** ndigits)[:, None]
+              // 10 ** np.arange(ndigits - 1, -1, -1)) % 10
+    trail = np.cumsum(digits[:, ::-1] != 0, axis=1)[:, ::-1] == 0
+    trail[:, 0] = False
+    return (digits + ord("0")).astype(np.uint8), ~trail
+
+
+# the decimals the fingerprint rounds its features to (hybrid.py:235-239):
+# 3 for cx/W, cy/H, w/W and h/H, 4 for area/(W*H)
+_FRACTIONS = {nd: _fraction_table(nd) for nd in (3, 4)}
+
+
+def _repr_chars(x: np.ndarray, ndigits: int):
+    """``repr(round(v, ndigits))`` of every v of ``x`` as ASCII: a uint8
+    array of shape ``x.shape + (width,)`` and the mask of its used
+    cells. A rounded value is the double nearest k / 10**ndigits, whose
+    shortest repr is that decimal: a '-' when v is negative (-0.0
+    included), no leading zeros but one, no trailing zeros but one."""
+    whole, frac = np.divmod(_scaled_round(x, ndigits), 10 ** ndigits)
+    n_int = len(str(int(whole.max(initial=0))))
+    place = 10 ** np.arange(n_int - 1, -1, -1)
+    frac_chars, frac_used = _FRACTIONS[ndigits]
+    chars = np.empty(x.shape + (n_int + ndigits + 2,), dtype=np.uint8)
+    used = np.ones(chars.shape, dtype=bool)
+    chars[..., 0] = ord("-")
+    used[..., 0] = np.signbit(x)
+    chars[..., 1:n_int + 1] = (whole[..., None] // place) % 10 + ord("0")
+    used[..., 1:n_int] = whole[..., None] >= place[:-1]
+    chars[..., n_int + 1] = ord(".")
+    chars[..., n_int + 2:] = frac_chars[frac]
+    used[..., n_int + 2:] = frac_used[frac]
+    return chars, used
+
+
+def _literal(text: str, used: np.ndarray):
+    chars = np.frombuffer(text.encode(), dtype=np.uint8)
+    shape = used.shape + (len(chars),)
+    return (np.broadcast_to(chars, shape),
+            np.broadcast_to(used[..., None], shape))
+
+
+def _cat(parts):
+    """Concatenates (chars, used) pairs along their last axis."""
+    return (np.concatenate([c for c, _ in parts], axis=-1),
+            np.concatenate([u for _, u in parts], axis=-1))
+
+
+def blob_fingerprints(offsets: np.ndarray, cx, cy, w, h, area,
+                      roi_h, roi_w) -> List[str]:
+    """``blob_fingerprint`` of many images at once. Image i's blobs are
+    rows ``offsets[i]:offsets[i+1]`` of the feature columns and its ROI
+    is ``roi_h[i]`` x ``roi_w[i]`` (arrays or scalars). The
+    ``str(feats)`` text of every image is assembled as one byte
+    matrix; only the md5 runs per image."""
+    n = len(offsets) - 1
+    img = np.repeat(np.arange(n), np.diff(offsets))
+    H = np.broadcast_to(roi_h, (n,))[img]
+    W = np.broadcast_to(roi_w, (n,))[img]
+    # stable: equal (cy, cx) keys keep input order, like sorted()
+    order = np.lexsort((cx, cy, img))
+    img = img[order]
+    cx, cy, w, h, area = (np.asarray(f, dtype=np.float64)
+                          for f in (cx, cy, w, h, area))
+    first = np.ones(len(img), dtype=bool)
+    first[1:] = img[1:] != img[:-1]
+    last = np.ones(len(img), dtype=bool)
+    last[:-1] = first[1:]
+    every = np.ones(len(img), dtype=bool)
+    # "(cx/W, cy/H, w/W, h/H, area/(W*H))", one row per blob
+    ratios = np.stack([cx / W, cy / H, w / W, h / H], axis=1)[order]
+    four = _cat([_repr_chars(ratios, 3),
+                 _literal(", ", np.ones(ratios.shape, dtype=bool))])
+    chars, used = _cat([
+        _literal("[", first), _literal("(", every),
+        tuple(a.reshape(len(img), a.shape[1] * a.shape[2]) for a in four),
+        _repr_chars((area / (W * H))[order], 4),
+        _literal(")", every), _literal(", ", ~last), _literal("]", last)])
+    text = memoryview(chars[used].tobytes())
+    ends = np.cumsum(np.bincount(img, used.sum(axis=1), n)).astype(int)
+    out, start = [], 0
+    for end in ends.tolist():
+        out.append(hashlib.md5(text[start:end]).hexdigest()[:16]
+                   if end > start else "empty")
+        start = end
+    return out
+
+
 def blob_fingerprint(blobs: Sequence[Dict], roi_shape: Tuple[int, int]) -> str:
     """md5 of the stable rounded feature tuple string; ``"empty"`` when
-    no blobs (``hybrid.py:229-242``)."""
-    if not blobs:
-        return "empty"
+    no blobs (``hybrid.py:229-242``). ``blob_fingerprints`` of one
+    image."""
     H, W = roi_shape
-    feats = []
-    for b in sorted(blobs, key=lambda x: (x["cy"], x["cx"])):
-        feats.append((
-            round(b["cx"] / W, 3),
-            round(b["cy"] / H, 3),
-            round(b["w"] / W, 3),
-            round(b["h"] / H, 3),
-            round(b["area"] / (W * H), 4),
-        ))
-    return hashlib.md5(str(feats).encode()).hexdigest()[:16]
+    cols = [np.array([b[k] for b in blobs], dtype=np.float64)
+            for k in ("cx", "cy", "w", "h", "area")]
+    return blob_fingerprints(np.array([0, len(blobs)]), *cols, H, W)[0]
 
 
 def _roi_hw(blobdata: Dict) -> Tuple[int, int]:

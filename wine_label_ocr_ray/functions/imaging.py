@@ -29,15 +29,18 @@ same-shape images, one numpy step per stage for the whole stack:
   (left side) and concave majorant (right side); twice the hull area is
   an integer trapezoid sum, so solidity is exact.
 
+``text_masks`` + ``smart_blob_columns`` are the batch entry points; the
+kept blobs come out as columns (``BlobColumns``), never as per-blob
+dicts. ``smart_blobs`` is the per-image dict view of them, and
 ``create_text_mask``, ``extract_smart_blobs``, ``connected_components``
 and ``otsu_threshold`` are the single-image (N=1) entry points over the
-same kernel; ``text_masks`` + ``smart_blobs`` are the batch ones.
+same kernel.
 
-- ``pad_box``            -> ``data_extraction_functions/final_run_ocr.py:83-90``
+- ``pad_boxes``/``pad_box`` -> ``data_extraction_functions/final_run_ocr.py:83-90``
 - ``otsu_threshold``     -> cv2.THRESH_OTSU as used in ``hybrid.py:181``
 - ``binary_open/close``  -> ``hybrid.py:183-186`` (2x2 / 3x3 ellipse kernels)
 - ``connected_components``-> cv2.connectedComponentsWithStats(8) in ``hybrid.py:190``
-- ``smart_blobs``        -> ``hybrid.py:189-227`` (filters + per-blob stats,
+- ``smart_blob_columns`` -> ``hybrid.py:189-227`` (filters + per-blob stats,
   cv2.convexHull + contourArea solidity of ``hybrid.py:211-216``)
 - ``text_masks``         -> ``hybrid.py:172-187``
 """
@@ -54,12 +57,27 @@ KERNEL_2X2 = np.ones((2, 2), dtype=bool)
 KERNEL_3X3_ELLIPSE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
+def pad_boxes(boxes: np.ndarray, img_w, img_h,
+              pad: float = 0.08) -> np.ndarray:
+    """Pads an (M, 4) float array of (x1, y1, x2, y2) boxes by ``pad``
+    of their size and clamps them to the image (``img_w``/``img_h``:
+    scalars or one per box). Truncates toward zero like ``int()``, so
+    the (M, 4) int64 result is exactly ``pad_box`` of every row."""
+    x1, y1, x2, y2 = boxes.T
+    w, h = x2 - x1, y2 - y1
+    out = np.empty((len(boxes), 4), dtype=np.int64)
+    out[:, 0] = np.maximum(0, np.trunc(x1 - pad * w))
+    out[:, 1] = np.maximum(0, np.trunc(y1 - pad * h))
+    out[:, 2] = np.minimum(img_w, np.trunc(x2 + pad * w))
+    out[:, 3] = np.minimum(img_h, np.trunc(y2 + pad * h))
+    return out
+
+
 def pad_box(xyxy: Sequence[float], img_w: int, img_h: int,
             pad: float = 0.08) -> List[int]:
-    x1, y1, x2, y2 = xyxy
-    w, h = x2 - x1, y2 - y1
-    return [max(0, int(x1 - pad * w)), max(0, int(y1 - pad * h)),
-            min(img_w, int(x2 + pad * w)), min(img_h, int(y2 + pad * h))]
+    """``pad_boxes`` of one box."""
+    return pad_boxes(np.array([xyxy], dtype=np.float64), img_w, img_h,
+                     pad)[0].tolist()
 
 
 def _otsu_thresholds(grays: np.ndarray) -> np.ndarray:
@@ -290,10 +308,40 @@ def _hull_areas(runs: _Runs, comps: _Comps, cand: np.ndarray) -> np.ndarray:
     return hull
 
 
-def _blob_dicts(comps: _Comps, cand: np.ndarray, hull: np.ndarray,
-                n: int) -> List[List[Dict]]:
-    """The rest of the filter band (aspect, solidity, extent) and the
-    per-image blob dicts, in component order."""
+class BlobColumns(NamedTuple):
+    """Kept blobs of an image stack, one column per blob-dict key, in
+    image then component order: blob k belongs to image ``img[k]``."""
+    img: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    area: np.ndarray
+    aspect_ratio: np.ndarray
+    solidity: np.ndarray
+    extent: np.ndarray
+
+    def dicts(self, n: int) -> List[List[Dict]]:
+        """The blob dicts of each of the stack's ``n`` images."""
+        out: List[List[Dict]] = [[] for _ in range(n)]
+        keys = self._fields[1:]
+        for i, *vals in zip(*(c.tolist() for c in self)):
+            out[i].append(dict(zip(keys, vals)))
+        return out
+
+
+def smart_blob_columns(masks: np.ndarray,
+                       min_area: float = 30.0) -> BlobColumns:
+    """Blob extraction over an (N, H, W) bool stack with the reference's
+    exact filter band (``hybrid.py:189-227``): area >= min_area,
+    w,h >= 3, area <= 10% of ROI, 0.02 <= aspect <= 50,
+    solidity >= 0.05, extent >= 0.05."""
+    runs = _label(masks)
+    comps = _component_stats(runs)
+    cand = _blob_candidates(comps, masks.shape[1:], min_area)
+    hull = _hull_areas(runs, comps, cand)
     area = comps.area.astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         solidity = np.where(hull > 0, area / hull, 0.5)
@@ -301,31 +349,16 @@ def _blob_dicts(comps: _Comps, cand: np.ndarray, hull: np.ndarray,
     extent = area / (comps.w * comps.h)
     keep = np.flatnonzero(cand & (ar >= 0.02) & (ar <= 50.0)
                           & (solidity >= 0.05) & (extent >= 0.05))
-    out: List[List[Dict]] = [[] for _ in range(n)]
-    cols = zip(comps.img[keep].tolist(), comps.x0[keep].tolist(),
-               comps.y0[keep].tolist(), comps.w[keep].tolist(),
-               comps.h[keep].tolist(),
-               (comps.sx2[keep] / 2.0 / area[keep]).tolist(),
-               (comps.sy[keep] / area[keep]).tolist(), area[keep].tolist(),
-               ar[keep].tolist(), solidity[keep].tolist(),
-               extent[keep].tolist())
-    for i, x, y, w, h, cx, cy, a, r, s, e in cols:
-        out[i].append({"x": x, "y": y, "w": w, "h": h, "cx": cx, "cy": cy,
-                       "area": a, "aspect_ratio": r, "solidity": s,
-                       "extent": e})
-    return out
+    area = area[keep]
+    return BlobColumns(comps.img[keep], comps.x0[keep], comps.y0[keep],
+                       comps.w[keep], comps.h[keep],
+                       comps.sx2[keep] / 2.0 / area, comps.sy[keep] / area,
+                       area, ar[keep], solidity[keep], extent[keep])
 
 
 def smart_blobs(masks: np.ndarray, min_area: float = 30.0) -> List[List[Dict]]:
-    """Blob extraction over an (N, H, W) bool stack with the reference's
-    exact filter band (``hybrid.py:189-227``): area >= min_area,
-    w,h >= 3, area <= 10% of ROI, 0.02 <= aspect <= 50,
-    solidity >= 0.05, extent >= 0.05. Returns each image's blob list."""
-    n = masks.shape[0]
-    runs = _label(masks)
-    comps = _component_stats(runs)
-    cand = _blob_candidates(comps, masks.shape[1:], min_area)
-    return _blob_dicts(comps, cand, _hull_areas(runs, comps, cand), n)
+    """``smart_blob_columns`` as each image's blob dicts."""
+    return smart_blob_columns(masks, min_area).dicts(masks.shape[0])
 
 
 def extract_smart_blobs(mask: np.ndarray, min_area: float = 30.0) -> List[Dict]:

@@ -2,7 +2,10 @@
 
 Implements the reference's per-record semantics row-at-a-time, straight
 over the corpus parquet files, with NO Ray and NO reuse of the stage
-implementations: only the golden-tested scalar functions are shared.
+implementations: only the golden-tested scalar text functions and the
+pixel kernels are shared. Payload decode, box padding and the blob
+fingerprint are re-implemented here one value at a time, independent
+of the batch code the stage runs.
 The pipeline test asserts span-sequence equality
 ``(kind, text, media_ref, order)`` per doc_id plus record-field
 equality between this oracle and the Ray pipeline.
@@ -16,6 +19,7 @@ tail (``:430-436``), and the blob leg ``hybrid.py:316-331``.
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 from typing import Dict, List, Optional
@@ -25,8 +29,7 @@ import pyarrow.parquet as pq
 
 from .functions import imaging
 from .functions import text as T
-from .functions.blobs import blob_fingerprint
-from .synth import decode_payload
+from .synth import PAYLOAD_SEP
 
 
 def _load_media(corpus_dir: str) -> Dict[str, bytes]:
@@ -36,6 +39,31 @@ def _load_media(corpus_dir: str) -> Dict[str, bytes]:
         out.update(zip(t.column("media_ref").to_pylist(),
                        t.column("payload").to_pylist()))
     return out
+
+
+def decode_payload(payload: bytes):
+    idx = payload.index(PAYLOAD_SEP)
+    header = json.loads(payload[:idx].decode("utf-8"))
+    img = np.frombuffer(payload[idx + len(PAYLOAD_SEP):], dtype=np.uint8)
+    return header, img.reshape(header["h"], header["w"])
+
+
+def _pad_box(xyxy, img_w: int, img_h: int, pad: float) -> List[int]:
+    x1, y1, x2, y2 = xyxy
+    w, h = x2 - x1, y2 - y1
+    return [max(0, int(x1 - pad * w)), max(0, int(y1 - pad * h)),
+            min(img_w, int(x2 + pad * w)), min(img_h, int(y2 + pad * h))]
+
+
+def blob_fingerprint(blobs, roi_shape) -> str:
+    if not blobs:
+        return "empty"
+    H, W = roi_shape
+    feats = [(round(b["cx"] / W, 3), round(b["cy"] / H, 3),
+              round(b["w"] / W, 3), round(b["h"] / H, 3),
+              round(b["area"] / (W * H), 4))
+             for b in sorted(blobs, key=lambda x: (x["cy"], x["cx"]))]
+    return hashlib.md5(str(feats).encode()).hexdigest()[:16]
 
 
 def _ocr_box_texts(decoded: Dict, box: List[float]):
@@ -63,7 +91,7 @@ def _process_media(decoded: Dict, gray: np.ndarray,
         if el["conf"] < confidence_threshold:
             continue
         cls_lower = el["cls"].replace("-", "_").lower()
-        box = imaging.pad_box(el["box"], W, H, pad=pad)
+        box = _pad_box(el["box"], W, H, pad)
         texts, confs = _ocr_box_texts(decoded, box)
         txt = " ".join(texts).strip()
         conf = float(np.mean(confs)) if confs else 0.0

@@ -8,6 +8,9 @@ corpus's parquet side table:
 - fragment ROUTING once per actor: each file's footer statistics give
   the (min, max) ``media_ref`` range (files are written sorted by ref),
   so a fetch opens only the files that can contain its refs;
+- ``fetch_column`` returns the batch's payloads as the Arrow binary
+  column the read produced, never as Python bytes objects, plus each
+  ref's row in it (``fetch`` is the dict-of-bytes view of it);
 - per-file reads use an ``isin`` filter (row-group pruning via sorted
   stats) with ``use_threads=False`` — many actors each spinning up a
   full Arrow thread pool thrashes the node.
@@ -15,11 +18,11 @@ corpus's parquet side table:
 
 from __future__ import annotations
 
-import bisect
 import glob
 import os
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
@@ -54,39 +57,39 @@ class MediaStore:
         self._files = [self._files[i] for i in order]
         self._mins = [self._mins[i] for i in order]
         self._maxs = [self._maxs[i] for i in order]
-        # prefix running max of file maxima: the left scan in _route may
-        # stop only once NO earlier file can still cover the ref
-        self._prefix_max: List[str] = []
-        running = ""
-        for m in self._maxs:
-            running = max(running, m)
-            self._prefix_max.append(running)
 
-    def _route(self, refs: List[str]) -> Dict[str, List[str]]:
-        by_file: Dict[str, List[str]] = {}
-        for r in refs:
-            # candidate files: every file whose [min, max] covers r
-            # (ranges may overlap across shards)
-            i = bisect.bisect_right(self._mins, r) - 1
-            j = i
-            while j >= 0 and self._prefix_max[j] >= r:
-                if self._maxs[j] >= r:
-                    by_file.setdefault(self._files[j], []).append(r)
-                j -= 1
-        return by_file
+    def fetch_column(self, refs: pa.Array) -> Tuple[pa.Array, pa.Array]:
+        """Payloads of a batch of refs, without copying them: one binary
+        column holding the payload of every ref found, and, aligned
+        with ``refs``, each ref's row in it (null where a ref is
+        missing). Each file is read once, for the refs its [min, max]
+        range covers (ranges may overlap across shards); a ref stored in
+        several files takes the first file's payload."""
+        if isinstance(refs, pa.ChunkedArray):
+            refs = refs.combine_chunks()
+        keys = pc.unique(refs.drop_null())
+        parts = []
+        for path, lo, hi in zip(self._files, self._mins, self._maxs):
+            wanted = keys.filter(pc.and_(pc.greater_equal(keys, lo),
+                                         pc.less_equal(keys, hi)))
+            if len(wanted):
+                parts.append(pq.read_table(
+                    path, columns=["media_ref", "payload"],
+                    filters=pc.field("media_ref").isin(wanted),
+                    use_threads=False))
+        if not parts:
+            return pa.array([], pa.binary()), pa.nulls(len(refs), pa.int32())
+        found = pa.concat_tables(parts)
+        payloads = found.column("payload")
+        payloads = payloads.chunk(0) if payloads.num_chunks == 1 \
+            else payloads.combine_chunks()
+        return payloads, pc.index_in(
+            refs, value_set=found.column("media_ref").combine_chunks())
 
     def fetch(self, refs: List[str]) -> Dict[str, bytes]:
         """Fetch payloads for a batch of refs. Missing refs are simply
         absent from the result; duplicate refs are fetched once."""
         uniq = sorted(set(refs))
-        if not uniq:
-            return {}
-        out: Dict[str, bytes] = {}
-        for path, file_refs in self._route(uniq).items():
-            t = pq.read_table(
-                path, columns=["media_ref", "payload"],
-                filters=pc.field("media_ref").isin(file_refs),
-                use_threads=False)
-            out.update(zip(t.column("media_ref").to_pylist(),
-                           t.column("payload").to_pylist()))
-        return out
+        payloads, rows = self.fetch_column(pa.array(uniq, pa.string()))
+        return {r: payloads[i].as_py()
+                for r, i in zip(uniq, rows.to_pylist()) if i is not None}

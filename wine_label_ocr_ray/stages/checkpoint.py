@@ -16,10 +16,7 @@ shards — so a crash mid-run costs only the shards still open.
 Layout:
     out_dir/part=<name>/*.parquet       (atomic: renamed from _tmp.<name>)
     out_dir/_manifests/<name>.json      (atomic: os.replace from .tmp)
-where <name> is the shard stem. Units named <first>__<last>, whose
-lineage lists several ``inputs``, were committed by older versions
-that ran groups of shards; resume keeps such a unit while its lineage
-matches and purges it otherwise.
+where <name> is the shard stem.
 """
 
 from __future__ import annotations
@@ -51,74 +48,46 @@ def _engine_id(eng) -> str:
         f"{getattr(eng, '__module__', '?')}.{getattr(eng, '__qualname__', repr(eng))}"
 
 
-def _config_hash(cfg: PipelineConfig, *,
-                 legacy_always_include: bool = False) -> str:
+def _config_hash(cfg: PipelineConfig) -> str:
     """Canonical form OMITS keys at their dataclass defaults (read
     from PipelineConfig, not hardcoded) so manifests written before
-    those keys existed keep hashing identically. The
-    ``legacy_always_include`` form reproduces the transitional hash
-    that DID always include them; resume accepts either (see
-    ``_accepted_config_hashes``) so no upgrade invalidates committed
-    partitions."""
+    those keys existed keep hashing identically."""
     from dataclasses import fields
     defaults = {f.name: f.default for f in fields(PipelineConfig)}
     d = asdict(cfg)
     payload = {k: d[k] for k in _SEMANTIC_KEYS}
     eng_id = _engine_id(cfg.engines)
-    if legacy_always_include or eng_id != _engine_id(defaults["engines"]):
+    if eng_id != _engine_id(defaults["engines"]):
         payload["engines"] = eng_id
-    if legacy_always_include or \
-            cfg.sweep_max_variants != defaults["sweep_max_variants"]:
+    if cfg.sweep_max_variants != defaults["sweep_max_variants"]:
         payload["sweep_max_variants"] = cfg.sweep_max_variants
     return hashlib.sha1(json.dumps(payload, sort_keys=True,
                                    default=str).encode()).hexdigest()[:12]
 
 
-def _accepted_config_hashes(cfg: PipelineConfig) -> set:
-    return {_config_hash(cfg),
-            _config_hash(cfg, legacy_always_include=True)}
+def _lineage(doc_file: str, cfg: PipelineConfig) -> Dict:
+    st = os.stat(doc_file)
+    return {"config_hash": _config_hash(cfg),
+            # output-schema fingerprint (names AND types): a resumed run
+            # must not mix partitions committed under a different record
+            # schema with fresh ones (readers would null-fill the union)
+            "schema": "|".join(f"{f.name}:{f.type}"
+                               for f in RECORD_SCHEMA),
+            "input_file": doc_file, "input_bytes": st.st_size,
+            "input_mtime_ns": st.st_mtime_ns}
 
 
-def _lineage(doc_files: List[str], cfg: PipelineConfig) -> Dict:
-    inputs = []
-    for doc_file in doc_files:
-        st = os.stat(doc_file)
-        inputs.append({"input_file": doc_file, "input_bytes": st.st_size,
-                       "input_mtime_ns": st.st_mtime_ns})
-    out = {"config_hash": _config_hash(cfg),
-           # output-schema fingerprint (names AND types): a resumed run
-           # must not mix partitions committed under a different record
-           # schema with fresh ones (readers would null-fill the union)
-           "schema": "|".join(f"{f.name}:{f.type}"
-                              for f in RECORD_SCHEMA)}
-    if len(inputs) == 1:
-        # single-shard layout kept flat (round-1 manifest compatibility)
-        out.update(inputs[0])
-    else:
-        out["inputs"] = inputs
-    return out
-
-
-def _lineage_matches(files: List[str], cfg: PipelineConfig,
+def _lineage_matches(doc_file: str, cfg: PipelineConfig,
                      prior_lineage: Dict) -> bool:
-    """True iff the committed lineage still describes these inputs.
-    ANY failure to recompute lineage (listed shard deleted/renamed →
-    FileNotFoundError, manifest missing input_file → files=[None] →
-    TypeError) means the manifest no longer matches reality — treat as
-    a mismatch and re-execute, never crash the resume scan."""
-    if not isinstance(prior_lineage, dict):
-        # hand-edited / corrupted-but-parseable manifest: a non-dict
-        # lineage value can never match — re-execute, don't crash
-        return False
+    """True iff the committed lineage still describes this shard.
+    ANY failure to recompute lineage (shard deleted/renamed →
+    FileNotFoundError, manifest missing input_file → TypeError) means
+    the manifest no longer matches reality — treat as a mismatch and
+    re-execute, never crash the resume scan. A manifest from before
+    schema tracking has no "schema" key, so it never matches: its
+    record schema is an older one."""
     try:
-        prior_hash = prior_lineage.get("config_hash")
-        if prior_hash not in _accepted_config_hashes(cfg):
-            return False
-        expect = _lineage(files, cfg)
-        expect["config_hash"] = prior_hash  # either accepted form
-        # a manifest from before schema tracking has no "schema" key,
-        # so it never matches: its record schema is an older one
-        return prior_lineage == expect
+        return prior_lineage == _lineage(doc_file, cfg)
     except (FileNotFoundError, OSError, TypeError, KeyError, ValueError):
         return False
 
@@ -186,25 +155,21 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
         shutil.rmtree(stale, ignore_errors=True)
     committed = committed_partitions(out_dir)
 
-    # keep every committed unit (its own stem, or a legacy group) whose
-    # lineage still matches; its shards are done
+    # keep every committed shard whose lineage still matches
     totals = {"rows": 0, "valid": 0, "vintage_found": 0, "maker_found": 0,
               "barcode_found": 0, "blob_nonempty": 0}
     done = set()
     skipped = executed = 0
     for name, prior in committed.items():
-        lin = prior.get("lineage", {})
-        # flat single-shard lineage, or a legacy group's ``inputs``
-        files = [i["input_file"] for i in lin["inputs"]] \
-            if "inputs" in lin else [lin.get("input_file")]
-        if all(f in shards for f in files) \
-                and _lineage_matches(files, cfg, lin):
-            done.update(files)
+        lin = prior.get("lineage")
+        shard = lin.get("input_file") if isinstance(lin, dict) else None
+        if shard in shards and _lineage_matches(shard, cfg, lin):
+            done.add(shard)
             skipped += 1
             for k in totals:
                 totals[k] += prior["metrics"][k]
             continue
-        # purge every other unit: it overlaps a shard being re-executed
+        # purge every other partition: its shard is being re-executed
         # (lineage mismatch) or references inputs no longer in the
         # corpus (orphan); left behind, readers globbing part=*/ would
         # see its stale rows alongside the fresh ones
@@ -216,7 +181,7 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
             pass
 
     pending = {s: {"left": pq.read_metadata(s).num_rows, "writer": None,
-                   "lineage": _lineage([s], cfg),
+                   "lineage": _lineage(s, cfg),
                    "metrics": dict(dict.fromkeys(totals, 0),
                                    conf_sum=0.0, conf_n=0)}
                for s in shards if s not in done}

@@ -11,122 +11,258 @@ media store. Text rows pass through untouched (see stages/spans.py for
 the single-pass routing rationale). ``DocMediaExtract`` is the same
 actor over the flagship plan's doc rows.
 
+One ``__call__`` is one columnar pass over the batch's media rows, with
+no loop over payloads: the payloads arrive as one Arrow binary column
+straight from the parquet read (``MediaStore.fetch_column``), are
+decoded in place
+(``synth.decode_payloads``: one header parse, pixels never copied), and
+every engine is called once per batch through its batch method
+(``state/engines.py``). ``route_media`` routes all detections of the
+batch as one flat (payload, detection) table, and the blob leg gathers
+same-shape pixel blocks straight from the payload column into image
+stacks (``BlobAnalyzer.blob_column``). Every output column is built as
+an Arrow array and spliced into the batch.
+
 Field-routing semantics are an exact port of ``_extract_fields``
 (``final_run_ocr.py:299-351``): per-class candidate buckets, the
 longest-maker update rule, vintage overwrite on repeated Vintage
 detections, the maker-region year backup, and the full-image fallback
 sweep (text side of ``final_run_ocr.py:187-297``, fan-out replaced by
-the engine's ``ocr_full`` view) when YOLO found no vintage box.
+the engine's ``ocr_full`` view) when YOLO found no vintage box. The
+per-payload rules become masks and per-payload first/last picks;
+Python runs only ``clean_maker_crop`` on maker texts and the year
+regexes on maker, vintage and sweep texts, once per distinct text.
+``extract_media_fields`` is the one-payload entry point over the same
+code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections.abc import Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions import text as T
-from ..functions.imaging import pad_box
+from ..functions.imaging import pad_boxes
+from ..schema import BLOB_STRUCT, RAW_ENTRY_STRUCT, RAW_TYPE
 from ..sources.media import MediaStore
-from ..state.engines import BlobAnalyzer, decode_payload, resolve_engines
+from ..state.engines import BlobAnalyzer, Detections, resolve_engines
+# decode_payload: the one-payload decode, looked up here by callers
+from ..synth import decode_payload, decode_payloads  # noqa: F401
 from .spans import nest_spans, span_rows_of
 
 _MAKER_CLASSES = frozenset({"maker_name", "producer", "winery"})
 _VINTAGE_CLASSES = frozenset({"vintage", "year"})
+# raw buckets every batch may use; a detection of any other class goes
+# to the bucket named after it
+_BUCKETS = ["maker_name_candidates", "vintage_candidates",
+            "vintage_from_maker_region", "vintage_from_fallback"]
+_SPLICED = ("span_text", "maker_name", "raw", "vintage_str",
+            "vintage_by_yolo", "barcode", "blob")
 
 
-def _sweep_takes_gray(ocr_engine) -> bool:
-    """Adapters written against the original 2-arg ``ocr_sweep``
-    signature must keep working: pass ``gray`` only if the engine
-    accepts it. Engine-invariant — resolved ONCE per actor in
-    ``MediaExtract.__init__``, never re-inspected per payload
-    (hot-path reflection, round-3 verdict #3). A plain function, not
-    an ``lru_cache`` module global: cloudpickle serializes C-wrapped
-    callables by module reference, which breaks the package's
-    by-value shipping to workers (_rayprep.py)."""
-    import inspect
-    try:
-        return "gray" in inspect.signature(
-            ocr_engine.ocr_sweep).parameters
-    except (TypeError, ValueError, AttributeError):
-        return False
+def _segment_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``float(np.mean(v))`` of each consecutive segment of ``values``
+    (0.0 for an empty one), bit for bit. Below 8 values ``np.mean``
+    adds left to right onto 0.0, so short segments are summed one
+    column at a time; longer ones call ``np.mean`` itself."""
+    starts = np.cumsum(lengths) - lengths
+    total = np.zeros(len(lengths))
+    short = lengths < 8
+    for j in range(int(lengths[short].max(initial=0))):
+        rows = np.flatnonzero(short & (lengths > j))
+        total[rows] += values[starts[rows] + j]
+    out = np.zeros(len(lengths))
+    np.divide(total, lengths, out=out, where=lengths > 0)
+    for i in np.flatnonzero(~short).tolist():
+        out[i] = np.mean(values[starts[i]:starts[i] + lengths[i]])
+    return out
+
+
+def _pick(group: np.ndarray, ks: np.ndarray, n: int,
+          last: bool = False) -> np.ndarray:
+    """Per group g in 0..n-1: the first (or last) position k in ``ks``,
+    taken in order, with ``group[k] == g``; -1 where there is none."""
+    out = np.full(n, -1, dtype=np.int64)
+    if last:
+        ks = ks[::-1]
+    g, first = np.unique(group[ks], return_index=True)
+    out[g] = ks[first]
+    return out
+
+
+def _lists(values: pa.Array, group: np.ndarray, n: int) -> pa.Array:
+    """``values`` (sorted by their nondecreasing ``group``) as one list
+    per group 0..n-1."""
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(group, minlength=n), out=offsets[1:])
+    return pa.ListArray.from_arrays(pa.array(offsets), values)
+
+
+def _per_text(fn: Callable[[str], str], texts: pa.Array) -> pa.Array:
+    """``fn`` of every text, called once per distinct text."""
+    distinct = pc.unique(texts)
+    return pa.array([fn(t) for t in distinct.to_pylist()], pa.string()).take(
+        pc.index_in(texts, value_set=distinct))
+
+
+class _Images(Sequence):
+    """The images of payloads ``rows``, each built only when read."""
+
+    def __init__(self, gray: Callable[[int], np.ndarray], rows: np.ndarray):
+        self._gray, self._rows = gray, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._gray(self._rows[i])
+
+
+def _take(values: pa.Array, idx: np.ndarray) -> pa.Array:
+    """``values[idx]``, null where idx < 0."""
+    return values.take(pa.array(idx, mask=idx < 0))
+
+
+def route_media(decoded: Sequence[Dict], dets: Detections,
+                gray: Callable[[int], np.ndarray], *, ocr_engine,
+                barcode_engine, pad: float = 0.08,
+                sweep_max_variants: int = 75) -> Dict[str, pa.Array]:
+    """Routes the detections and OCR of a batch of decoded payloads
+    into their span-row fields (everything but ``blob``), one Arrow
+    array per field, one value per payload. ``gray(i)`` is payload i's
+    image, asked for only by the fallback sweep. Pure given the
+    engines; the oracle (oracle.py) re-implements the chain
+    independently, and the pipeline test asserts the two agree."""
+    n, m = len(decoded), len(dets.image)
+    p = dets.image
+    # class -> bucket, resolved once per distinct class name
+    names = list(dict.fromkeys(dets.classes))
+    code = {c: i for i, c in enumerate(names)}
+    cls = np.array([code[c] for c in dets.classes], dtype=np.int64)
+    lower = [c.replace("-", "_").lower() for c in names]
+    is_maker = np.array([c in _MAKER_CLASSES for c in lower], bool)[cls]
+    is_vint = np.array([c in _VINTAGE_CLASSES for c in lower], bool)[cls]
+    buckets = list(dict.fromkeys(_BUCKETS + lower))
+    other = np.array([buckets.index(c) for c in lower], dtype=np.int64)
+    bucket = np.where(is_maker, 0, np.where(is_vint, 1, other[cls]))
+    buckets = pa.array(buckets, pa.string())
+
+    # box OCR, reduced per box to its text and mean confidence
+    W = np.array([d["w"] for d in decoded], dtype=np.int64)
+    H = np.array([d["h"] for d in decoded], dtype=np.int64)
+    texts, confs = ocr_engine.ocr_boxes(
+        decoded, p, pad_boxes(dets.box, W[p], H[p], pad))
+    txt = pc.utf8_trim_whitespace(pc.binary_join(texts, " "))
+    conf = _segment_means(
+        pc.list_flatten(confs).to_numpy(zero_copy_only=False),
+        pc.list_value_length(confs).to_numpy(zero_copy_only=False))
+    said = pc.greater(pc.utf8_length(txt), 0)
+    span_text = pc.binary_join(
+        _lists(txt.filter(said), p[said.to_numpy(zero_copy_only=False)], n),
+        " ")
+
+    # maker: the first of each payload's longest cleaned maker texts
+    mk = np.flatnonzero(is_maker)
+    cleaned = _per_text(T.clean_maker_crop, txt.take(mk))
+    length = pc.utf8_length(cleaned).to_numpy(zero_copy_only=False)
+    cand = np.flatnonzero(length >= 2)
+    cand = cand[np.lexsort((cand, -length[cand], p[mk][cand]))]
+    maker_name = _take(cleaned, _pick(p[mk], cand, n))
+
+    # years, read only from maker and vintage texts
+    ask = np.flatnonzero(is_maker | is_vint)
+    years = _per_text(T.extract_year_from_text, txt.take(ask))
+    found = np.flatnonzero(pc.is_valid(years).to_numpy(zero_copy_only=False))
+    year_of = np.full(m, -1, dtype=np.int64)
+    year_of[ask[found]] = found
+    has_year = year_of >= 0
+    # a Vintage box's year overwrites, so the last one wins; a maker
+    # region's year counts only before any vintage is set
+    maker_year = _pick(p, np.flatnonzero(is_maker & has_year), n)
+    vint_year = np.flatnonzero(is_vint & has_year)
+    first_vint = _pick(p, vint_year, n)
+    from_maker = (maker_year >= 0) & ((first_vint < 0)
+                                      | (maker_year < first_vint))
+    src = np.where(first_vint >= 0, _pick(p, vint_year, n, last=True),
+                   maker_year)
+    vintage_by_yolo = np.bincount(p[is_vint], minlength=n) > 0
+
+    # full-image fallback sweep where YOLO found no vintage at all
+    swept = np.flatnonzero(~vintage_by_yolo & (src < 0))
+    sweeps = pa.array([T.sweep_year_from_texts(t) for t in
+                       ocr_engine.ocr_sweeps(
+                           [decoded[i] for i in swept], sweep_max_variants,
+                           _Images(gray, swept))], pa.string())
+    hit = pc.is_valid(sweeps)
+    sweep_hits = sweeps.filter(hit)
+    hit = hit.to_numpy(zero_copy_only=False)
+    vintage_idx = np.full(n, -1, dtype=np.int64)
+    vintage_idx[src >= 0] = year_of[src[src >= 0]]
+    vintage_idx[swept[hit]] = len(years) + np.flatnonzero(hit)
+    vintage_str = _take(pa.concat_arrays([years, sweeps]), vintage_idx)
+
+    # raw entries: one per detection, a maker-region year right after
+    # its detection's, a sweep hit last; buckets in first-use order
+    ent_payload = np.concatenate([p, np.flatnonzero(from_maker),
+                                  swept[hit]])
+    ent_time = np.concatenate([2 * np.arange(m),
+                               2 * maker_year[from_maker] + 1,
+                               np.full(hit.sum(), 2 * m)])
+    ent_bucket = np.concatenate([bucket, np.full(from_maker.sum(), 2),
+                                 np.full(hit.sum(), 3)])
+    det_text = _take(pa.concat_arrays([txt, cleaned]), np.where(
+        is_maker, m + np.cumsum(is_maker) - 1, np.arange(m)))
+    ent_text = pa.concat_arrays([
+        det_text, years.take(year_of[maker_year[from_maker]]),
+        sweep_hits])
+    ent_conf = np.concatenate([conf, conf[maker_year[from_maker]],
+                               np.zeros(hit.sum())])
+    order = np.lexsort((ent_time, ent_payload))
+    _, first, inverse = np.unique(
+        ent_payload[order] * len(buckets) + ent_bucket[order],
+        return_index=True, return_inverse=True)
+    order = order[np.argsort(first[inverse], kind="stable")]
+    raw = _lists(pa.StructArray.from_arrays([
+        buckets.take(ent_bucket[order]), ent_text.take(order),
+        pa.array(ent_conf[order], mask=order >= m + from_maker.sum())],
+        fields=list(RAW_ENTRY_STRUCT)), ent_payload[order], n)
+
+    return {"span_text": span_text, "maker_name": maker_name, "raw": raw,
+            "vintage_str": vintage_str,
+            "vintage_by_yolo": pa.array(vintage_by_yolo),
+            "barcode": pa.array(barcode_engine.scan_batch(decoded),
+                                pa.string())}
 
 
 def extract_media_fields(decoded: Dict, gray: np.ndarray,
                          detections: List[Dict], *, ocr_engine,
                          barcode_engine, pad: float = 0.08,
-                         sweep_max_variants: int = 75,
-                         sweep_takes_gray: Optional[bool] = None) -> Dict:
-    """Route ONE media payload's detections and OCR into the span-row
-    fields (everything but ``blob``, which ``BlobAnalyzer.analyze_batch``
-    computes for a whole batch). Pure given the engines. The oracle
-    (oracle.py) re-implements this chain independently; the pipeline
-    test asserts the two agree per row."""
-    W, H = decoded["w"], decoded["h"]
-    out_maker: Optional[str] = None
-    out_vintage: Optional[str] = None
-    raw: Dict[str, List] = {}
-    vintage_by_yolo = False
-    span_texts: List[str] = []
-
-    for det in detections:
-        cls_lower = det["class"].replace("-", "_").lower()
-        box = pad_box(det["box"], W, H, pad=pad)
-        texts, confs = ocr_engine.ocr_box(decoded, box)
-        txt = " ".join(texts).strip()
-        conf = float(np.mean(confs)) if confs else 0.0
-        if txt:
-            span_texts.append(txt)
-        if cls_lower in _MAKER_CLASSES:
-            cleaned = T.clean_maker_crop(txt)
-            if cleaned and len(cleaned) >= 2:
-                if not out_maker or len(cleaned) > len(out_maker):
-                    out_maker = cleaned
-            raw.setdefault("maker_name_candidates", []).append((cleaned, conf))
-            year_in_maker = T.extract_year_from_text(txt)
-            if year_in_maker and not out_vintage:
-                out_vintage = year_in_maker
-                raw.setdefault("vintage_from_maker_region", []).append(
-                    (year_in_maker, conf))
-        elif cls_lower in _VINTAGE_CLASSES:
-            vintage_by_yolo = True
-            year = T.extract_year_from_text(txt)
-            if year:
-                out_vintage = year
-            raw.setdefault("vintage_candidates", []).append((txt, conf))
-        else:
-            raw.setdefault(cls_lower, []).append((txt, conf))
-
-    if not vintage_by_yolo and not out_vintage:
-        if sweep_takes_gray is None:  # direct (non-actor) callers
-            sweep_takes_gray = _sweep_takes_gray(ocr_engine)
-        texts = ocr_engine.ocr_sweep(decoded, sweep_max_variants,
-                                     gray=gray) \
-            if sweep_takes_gray else \
-            ocr_engine.ocr_sweep(decoded, sweep_max_variants)
-        sweep = T.sweep_year_from_texts(texts)
-        if sweep:
-            out_vintage = sweep
-            raw["vintage_from_fallback"] = sweep
-
-    return {
-        "span_text": " ".join(span_texts).strip(),
-        "maker_name": out_maker,
-        "raw": raw_to_entries(raw),
-        "vintage_str": out_vintage,
-        "vintage_by_yolo": vintage_by_yolo,
-        "barcode": barcode_engine.scan(decoded),
-    }
+                         sweep_max_variants: int = 75) -> Dict:
+    """``route_media`` of ONE payload: its span-row fields (everything
+    but ``blob``) as Python values."""
+    fields = route_media([decoded], Detections.from_lists([detections]),
+                         lambda i: gray, ocr_engine=ocr_engine,
+                         barcode_engine=barcode_engine, pad=pad,
+                         sweep_max_variants=sweep_max_variants)
+    return {name: col[0].as_py() for name, col in fields.items()}
 
 
-def _error_fields(reason: str) -> Dict:
-    """Span-row fields of a media row whose payload is missing or
-    cannot be decoded."""
-    return {"span_text": "", "maker_name": None,
-            "raw": [{"bucket": "error", "text": reason, "conf": None}],
-            "vintage_str": None, "vintage_by_yolo": False,
-            "barcode": None, "blob": None}
+def _error_fields(reasons: List[str]) -> Dict[str, pa.Array]:
+    """Span-row fields of media rows whose payload is missing or cannot
+    be decoded: an error marker in ``raw``, nothing else."""
+    k = len(reasons)
+    return {"span_text": pa.array([""] * k, pa.string()),
+            "maker_name": pa.nulls(k, pa.string()),
+            "raw": pa.array([[{"bucket": "error", "text": r, "conf": None}]
+                             for r in reasons], RAW_TYPE),
+            "vintage_str": pa.nulls(k, pa.string()),
+            "vintage_by_yolo": pa.array(np.zeros(k, dtype=bool)),
+            "barcode": pa.nulls(k, pa.string()),
+            "blob": pa.nulls(k, BLOB_STRUCT)}
 
 
 def raw_to_entries(raw: Dict) -> List[Dict]:
@@ -163,63 +299,53 @@ class MediaExtract:
                                           skip_alignment=skip_alignment)
         self.pad = pad
         self.sweep_max_variants = sweep_max_variants
-        # adapter-compat reflection resolved once per actor lifetime
-        self.sweep_takes_gray = _sweep_takes_gray(self.ocr_engine)
+
+    def _fields(self, refs: pa.Array) -> Dict[str, pa.Array]:
+        """The spliced fields of the media rows of ``refs``, one array
+        each. Every distinct payload is decoded and routed once."""
+        payloads, at = self.store.fetch_column(refs)
+        at = pc.fill_null(at, -1).to_numpy().astype(np.int64)
+        dec = decode_payloads(payloads)
+        ok = np.flatnonzero(dec.ok)
+        headers = [dec.headers[i] for i in ok]
+        dets = self.detect_engine.detect_batch(headers)
+        fields = route_media(
+            headers, dets, lambda j: dec.gray(ok[j]),
+            ocr_engine=self.ocr_engine, barcode_engine=self.barcode_engine,
+            pad=self.pad, sweep_max_variants=self.sweep_max_variants)
+        if self.blob_analyzer.full_frame:
+            fields["blob"] = self.blob_analyzer.blob_column(
+                dec.shapes[ok], lambda rows: dec.stack(ok[rows]))
+        else:
+            fields["blob"] = self.blob_analyzer.analyze_column(
+                [dec.gray(i) for i in ok], dets.per_image(len(ok)))
+        # each media row's position in ``fields``; -1 where its payload
+        # is missing or cannot be decoded
+        routed = np.full(len(payloads) + 1, -1, dtype=np.int64)
+        routed[ok] = np.arange(len(ok))
+        pos = routed[at]
+        bad = np.flatnonzero(pos < 0)
+        if len(bad):
+            # poison-pill rows: a missing or undecodable payload costs
+            # one error-marked row, not the block (SURVEY.md section 4.2)
+            errors = _error_fields(["missing_media" if at[i] < 0
+                                    else "corrupt_media"
+                                    for i in bad.tolist()])
+            pos[bad] = len(ok) + np.arange(len(bad))
+            fields = {name: pa.concat_arrays([fields[name], errors[name]])
+                      for name in _SPLICED}
+        return {name: fields[name].take(pa.array(pos)) for name in _SPLICED}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        kind_col = batch.column("kind")
-        media_mask = pc.equal(kind_col, "media")
-        mask_np = media_mask.to_numpy(zero_copy_only=False)
+        mask_np = pc.equal(batch.column("kind"), "media").to_numpy(
+            zero_copy_only=False)
         if not mask_np.any():
             return batch
         media_idx = np.flatnonzero(mask_np)
-        refs_col = batch.column("media_ref")
-        media_refs = pc.take(refs_col, pa.array(media_idx)).to_pylist()
-        payloads = self.store.fetch(media_refs)
+        vals = self._fields(batch.column("media_ref").take(media_idx))
 
-        # compute replacement values for media rows only, then splice
-        # them in — no full-column python round-trips for the (large)
-        # text-span columns. Pass 1 decodes and routes each payload;
-        # pass 2 runs the blob leg once for every decoded image.
-        vals: Dict[str, List] = {name: []
-                                 for name in ("span_text", "maker_name",
-                                              "raw", "vintage_str",
-                                              "vintage_by_yolo", "barcode",
-                                              "blob")}
-        grays: List[np.ndarray] = []
-        detections: List[List[Dict]] = []
-        blob_rows: List[int] = []
-        for row, ref in enumerate(media_refs):
-            payload = payloads.get(ref)
-            error = "missing_media" if payload is None else None
-            if payload is not None:
-                try:
-                    decoded, gray = decode_payload(payload)
-                except (ValueError, KeyError, TypeError):
-                    # truncated payload, bad JSON header, or a pixel
-                    # byte count that is not h*w
-                    error = "corrupt_media"
-            if error:
-                # poison-pill row: emit an error marker instead of
-                # failing the block (SURVEY.md section 4.2 retries note)
-                fields = _error_fields(error)
-            else:
-                dets = self.detect_engine.detect(decoded)
-                fields = extract_media_fields(
-                    decoded, gray, dets, ocr_engine=self.ocr_engine,
-                    barcode_engine=self.barcode_engine, pad=self.pad,
-                    sweep_max_variants=self.sweep_max_variants,
-                    sweep_takes_gray=self.sweep_takes_gray)
-                grays.append(gray)
-                detections.append(dets)
-                blob_rows.append(row)
-            for name in vals:
-                vals[name].append(fields.get(name))
-        for row, blob in zip(blob_rows, self.blob_analyzer.analyze_batch(
-                grays, detections)):
-            vals["blob"][row] = blob
-
+        # splice the media rows' values in — no full-column python
+        # round-trips for the (large) text-span columns
         mask_arr = pa.array(mask_np)
         # nested (list/struct) columns: replace_with_mask has no nested
         # kernel — scatter via a null-masked take instead. Valid because
@@ -230,10 +356,10 @@ class MediaExtract:
         scatter = pa.array(scatter_idx, mask=~mask_np)
 
         out = batch
-        for name, values in vals.items():
+        for name in _SPLICED:
             field_idx = out.schema.get_field_index(name)
             typ = out.schema.field(name).type
-            new_vals = pa.array(values, typ)
+            new_vals = vals[name].cast(typ)
             if pa.types.is_nested(typ):
                 replaced = pc.take(new_vals, scatter)
             else:

@@ -25,12 +25,13 @@ ValueError if driven against it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..functions.enhance import enhance_for_ocr
-from .engines import BarcodeEngine, DetectEngine, OcrEngine, PixelSweepOcr
+from .engines import (BarcodeEngine, DetectEngine, Detections, OcrEngine,
+                      PixelSweepOcr)
 
 # reference class-id mapping, final_run_ocr.py:403-404
 ID_TO_NAME = {0: "Distinct Logo", 1: "Maker-Name", 2: "Vintage"}
@@ -68,8 +69,9 @@ def _to_gray(img: np.ndarray) -> np.ndarray:
 
 class UltralyticsDetect(DetectEngine):
     """YOLO label-element detector (``final_run_ocr.py:41-51,398-420``):
-    model loaded once per actor, inference at the configured confidence
-    threshold, boxes mapped to the reference's class names."""
+    model loaded once per actor, one inference call per batch at the
+    configured confidence threshold, boxes mapped to the reference's
+    class names."""
 
     def __init__(self, weights_path: str,
                  confidence_threshold: float = 0.01,
@@ -79,21 +81,30 @@ class UltralyticsDetect(DetectEngine):
         self.confidence_threshold = confidence_threshold
         self.id_to_name = dict(id_to_name or ID_TO_NAME)
 
+    def detect_batch(self, decoded_list: Sequence[Dict]) -> Detections:
+        """One model call for the whole batch (ultralytics takes a list
+        of images and returns one result per image)."""
+        preds = self.model([_pixels(d) for d in decoded_list],
+                           conf=self.confidence_threshold,
+                           verbose=False) if decoded_list else []
+        image, classes, boxes, confs = [], [], [], []
+        for i, pred in enumerate(preds):
+            if pred.boxes is None:
+                continue
+            ids = pred.boxes.cls.cpu().numpy().astype(np.int64).tolist()
+            image += [i] * len(ids)
+            classes += [self.id_to_name.get(c, str(c)) for c in ids]
+            boxes.append(pred.boxes.xyxy.cpu().numpy().reshape(-1, 4))
+            confs.append(pred.boxes.conf.cpu().numpy().reshape(-1))
+        return Detections(
+            np.array(image, dtype=np.int64), classes,
+            np.concatenate(boxes).astype(np.float64) if boxes
+            else np.zeros((0, 4)),
+            np.concatenate(confs).astype(np.float64) if confs
+            else np.zeros(0))
+
     def detect(self, decoded: Dict) -> List[Dict]:
-        img = _pixels(decoded)
-        pred = self.model(img, conf=self.confidence_threshold,
-                          verbose=False)[0]
-        out: List[Dict] = []
-        if pred.boxes is not None:
-            for b in pred.boxes:
-                x1, y1, x2, y2 = b.xyxy[0].cpu().numpy().tolist()
-                cls_id = int(b.cls[0])
-                out.append({
-                    "class": self.id_to_name.get(cls_id, str(cls_id)),
-                    "box": [x1, y1, x2, y2],
-                    "confidence": float(b.conf[0]),
-                })
-        return out
+        return self.detect_batch([decoded]).per_image(1)[0]
 
 
 class PaddleOcr(PixelSweepOcr, OcrEngine):

@@ -9,17 +9,39 @@ per batch. Production adapters (ultralytics YOLO, PaddleOCR, Tesseract,
 pyzbar) would subclass the same ABCs; none of those libraries exist in
 this environment, so the shipped engines decode the synthetic payload's
 embedded ground truth deterministically (SURVEY.md section 7.0).
+
+Batch contract: the media stage calls only the batch methods, once per
+batch, over every decoded payload of the batch:
+
+- ``DetectEngine.detect_batch(decoded_list)`` -> ``Detections``, flat
+  columns grouped by image;
+- ``OcrEngine.ocr_boxes(decoded_list, image, boxes)`` -> (texts,
+  confs), one Arrow list per padded box;
+- ``OcrEngine.ocr_sweeps(decoded_list, max_variants, grays)`` -> the
+  fallback sweep's texts per image;
+- ``BarcodeEngine.scan_batch(decoded_list)`` -> one code (or None) per
+  image.
+
+An adapter only has to implement the scalar methods (``detect``,
+``ocr_box``, ``ocr_full``, ``scan``): each batch method's default loops
+over its scalar one. An adapter whose backend batches natively
+overrides the batch method instead; the synthetic engines and
+``UltralyticsDetect`` do, and their scalar methods are the one-image
+entry points over it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
+import pyarrow as pa
 
 from ..functions import imaging
-from ..functions.blobs import blob_fingerprint
+from ..functions.blobs import blob_fingerprint, blob_fingerprints
 # NOTE: package-internal imports must stay at module top level — the
 # package ships to workers via cloudpickle by-value registration, and a
 # deferred relative import inside a method would attempt a real
@@ -28,7 +50,44 @@ from ..functions.blobs import blob_fingerprint
 from ..functions.enhance import (align_vertically, find_label_roi,
                                  find_label_roi_with_detections,
                                  sweep_variant_crops)
+from ..schema import BLOB_STRUCT
 from ..synth import decode_payload
+
+TEXTS_TYPE = pa.list_(pa.string())
+CONFS_TYPE = pa.list_(pa.float64())
+
+
+class Detections(NamedTuple):
+    """Detections of a batch of images as flat columns, grouped by image
+    in image order: detection k is a ``classes[k]`` box ``box[k]``
+    (x1, y1, x2, y2) of confidence ``confidence[k]`` in image
+    ``image[k]``."""
+    image: np.ndarray
+    classes: List[str]
+    box: np.ndarray
+    confidence: np.ndarray
+
+    @staticmethod
+    def from_lists(per_image: Sequence[Sequence[Dict]]) -> "Detections":
+        """From ``detect``'s per-image lists of
+        {'class', 'box', 'confidence'} dicts."""
+        flat = [d for dets in per_image for d in dets]
+        return Detections(
+            np.repeat(np.arange(len(per_image)),
+                      [len(dets) for dets in per_image]),
+            [d["class"] for d in flat],
+            np.array([d["box"] for d in flat],
+                     dtype=np.float64).reshape(-1, 4),
+            np.array([d["confidence"] for d in flat], dtype=np.float64))
+
+    def per_image(self, n: int) -> List[List[Dict]]:
+        """``detect``'s per-image dict lists of the batch's n images."""
+        out: List[List[Dict]] = [[] for _ in range(n)]
+        for i, cls, box, conf in zip(self.image.tolist(), self.classes,
+                                     self.box.tolist(),
+                                     self.confidence.tolist()):
+            out[i].append({"class": cls, "box": box, "confidence": conf})
+        return out
 
 
 class DetectEngine(ABC):
@@ -38,6 +97,25 @@ class DetectEngine(ABC):
     @abstractmethod
     def detect(self, decoded: Dict) -> List[Dict]:
         """decoded payload header -> [{'class', 'box', 'confidence'}]."""
+
+    def detect_batch(self, decoded_list: Sequence[Dict]) -> Detections:
+        """``detect`` of many images, as one flat table."""
+        return Detections.from_lists([self.detect(d) for d in decoded_list])
+
+
+def _sweep_takes_gray(ocr_engine) -> bool:
+    """Adapters written against the original 2-arg ``ocr_sweep``
+    signature must keep working: pass ``gray`` only if the engine
+    accepts it. A plain function, not an ``lru_cache`` module global:
+    cloudpickle serializes C-wrapped callables by module reference,
+    which breaks the package's by-value shipping to workers
+    (_rayprep.py)."""
+    import inspect
+    try:
+        return "gray" in inspect.signature(
+            ocr_engine.ocr_sweep).parameters
+    except (TypeError, ValueError, AttributeError):
+        return False
 
 
 class OcrEngine(ABC):
@@ -49,6 +127,17 @@ class OcrEngine(ABC):
     def ocr_full(self, decoded: Dict) -> List[str]:
         """Full-image OCR (the fallback sweep's view): every text the
         image contains, including outside detection boxes."""
+
+    def ocr_boxes(self, decoded_list: Sequence[Dict], image: np.ndarray,
+                  boxes: np.ndarray) -> Tuple[pa.Array, pa.Array]:
+        """OCR of many padded crop boxes: box k is the int row
+        ``boxes[k]`` of image ``decoded_list[image[k]]``. Returns
+        (texts, confs), one list per box (``TEXTS_TYPE``,
+        ``CONFS_TYPE``): what ``ocr_box`` returns for each."""
+        reads = [self.ocr_box(decoded_list[i], box)
+                 for i, box in zip(image.tolist(), boxes.tolist())]
+        return (pa.array([t for t, _ in reads], TEXTS_TYPE),
+                pa.array([c for _, c in reads], CONFS_TYPE))
 
     def ocr_sweep(self, decoded: Dict, max_variants: int = 75,
                   gray: Optional[np.ndarray] = None) -> List[str]:
@@ -69,6 +158,22 @@ class OcrEngine(ABC):
         exact for ground-truth-decoding engines."""
         del max_variants, gray
         return self.ocr_full(decoded)
+
+    def ocr_sweeps(self, decoded_list: Sequence[Dict],
+                   max_variants: int = 75,
+                   grays: Optional[Sequence[np.ndarray]] = None
+                   ) -> List[List[str]]:
+        """``ocr_sweep`` of many images (``grays[i]``: image i's
+        pixels). An adapter with the original 2-arg ``ocr_sweep`` gets
+        no ``gray``; which kind it is, is resolved once per engine
+        instance, never per batch."""
+        takes_gray = self.__dict__.get("_takes_gray")
+        if takes_gray is None:
+            takes_gray = self._takes_gray = _sweep_takes_gray(self)
+        if not takes_gray:
+            return [self.ocr_sweep(d, max_variants) for d in decoded_list]
+        return [self.ocr_sweep(d, max_variants, gray=g)
+                for d, g in zip(decoded_list, grays)]
 
 
 class PixelSweepOcr:
@@ -110,6 +215,23 @@ class BarcodeEngine(ABC):
     def scan(self, decoded: Dict) -> Optional[str]:
         """First decoded barcode string or None (QRCodeScanner.py:84-96)."""
 
+    def scan_batch(self, decoded_list: Sequence[Dict]) -> List[Optional[str]]:
+        """``scan`` of many images."""
+        return [self.scan(d) for d in decoded_list]
+
+
+def _elements(decoded_list: Sequence[Dict]) -> Tuple[List[Dict], np.ndarray]:
+    """Every ground-truth element of a batch of synthetic payload
+    headers in image order, and each image's element count."""
+    per_image = [d.get("elements", []) for d in decoded_list]
+    return ([el for els in per_image for el in els],
+            np.array([len(els) for els in per_image], dtype=np.int64))
+
+
+def _element_boxes(elements: List[Dict]) -> np.ndarray:
+    return np.fromiter(chain.from_iterable([el["box"] for el in elements]),
+                       np.float64, 4 * len(elements)).reshape(-1, 4)
+
 
 class SyntheticDetectEngine(DetectEngine):
     """Reads the payload's ground-truth elements; applies the model
@@ -119,40 +241,69 @@ class SyntheticDetectEngine(DetectEngine):
     def __init__(self, confidence_threshold: float = 0.01):
         self.confidence_threshold = confidence_threshold
 
+    def detect_batch(self, decoded_list: Sequence[Dict]) -> Detections:
+        elements, counts = _elements(decoded_list)
+        conf = np.array([el["conf"] for el in elements], dtype=np.float64)
+        keep = np.flatnonzero(conf >= self.confidence_threshold)
+        return Detections(np.repeat(np.arange(len(counts)), counts)[keep],
+                          [elements[k]["cls"] for k in keep.tolist()],
+                          _element_boxes(elements)[keep], conf[keep])
+
     def detect(self, decoded: Dict) -> List[Dict]:
-        out = []
-        for el in decoded.get("elements", []):
-            if el["conf"] >= self.confidence_threshold:
-                out.append({"class": el["cls"], "box": list(el["box"]),
-                            "confidence": float(el["conf"])})
-        return out
+        return self.detect_batch([decoded]).per_image(1)[0]
 
 
 class SyntheticOcrEngine(OcrEngine):
     """Returns the truth text of every element fully inside the crop
     box (the deterministic analog of PaddleOCR reading a crop)."""
 
+    def ocr_boxes(self, decoded_list: Sequence[Dict], image: np.ndarray,
+                  boxes: np.ndarray) -> Tuple[pa.Array, pa.Array]:
+        # every (box, element of the box's image) pair, box-major
+        elements, counts = _elements(decoded_list)
+        first = np.cumsum(counts) - counts
+        per_box = counts[image]
+        box = np.repeat(np.arange(len(image)), per_box)
+        el = np.arange(len(box)) + np.repeat(
+            first[image] - (np.cumsum(per_box) - per_box), per_box)
+        texts = [e["truth_text"] for e in elements]
+        has_text = np.fromiter(map(bool, texts), bool, len(texts))
+        eb, b = _element_boxes(elements)[el], boxes[box]
+        inside = np.flatnonzero(
+            (eb[:, 0] >= b[:, 0]) & (eb[:, 1] >= b[:, 1])
+            & (eb[:, 2] <= b[:, 2]) & (eb[:, 3] <= b[:, 3]) & has_text[el])
+        offsets = pa.array(np.concatenate([[0], np.cumsum(np.bincount(
+            box[inside], minlength=len(image)))]), pa.int32())
+        read = el[inside].tolist()
+        return (pa.ListArray.from_arrays(offsets, pa.array(
+                    [texts[k].strip() for k in read], pa.string())),
+                pa.ListArray.from_arrays(offsets, pa.array(
+                    [float(elements[k]["ocr_conf"]) for k in read],
+                    pa.float64())))
+
     def ocr_box(self, decoded: Dict, box: List[float]) -> Tuple[List[str], List[float]]:
-        x1, y1, x2, y2 = box
-        texts, confs = [], []
-        for el in decoded.get("elements", []):
-            ex1, ey1, ex2, ey2 = el["box"]
-            if ex1 >= x1 and ey1 >= y1 and ex2 <= x2 and ey2 <= y2:
-                if el["truth_text"]:
-                    texts.append(el["truth_text"].strip())
-                    confs.append(float(el["ocr_conf"]))
-        return texts, confs
+        texts, confs = self.ocr_boxes([decoded], np.zeros(1, np.int64),
+                                      np.array([box]))
+        return texts[0].as_py(), confs[0].as_py()
+
+    def ocr_sweeps(self, decoded_list: Sequence[Dict],
+                   max_variants: int = 75,
+                   grays: Optional[Sequence[np.ndarray]] = None
+                   ) -> List[List[str]]:
+        return [[el["truth_text"] for el in d.get("elements", [])
+                 if el["truth_text"]] + list(d.get("background_texts", []))
+                for d in decoded_list]
 
     def ocr_full(self, decoded: Dict) -> List[str]:
-        texts = [el["truth_text"] for el in decoded.get("elements", [])
-                 if el["truth_text"]]
-        texts.extend(decoded.get("background_texts", []))
-        return texts
+        return self.ocr_sweeps([decoded])[0]
 
 
 class SyntheticBarcodeEngine(BarcodeEngine):
+    def scan_batch(self, decoded_list: Sequence[Dict]) -> List[Optional[str]]:
+        return [d.get("barcode") for d in decoded_list]
+
     def scan(self, decoded: Dict) -> Optional[str]:
-        return decoded.get("barcode")
+        return self.scan_batch([decoded])[0]
 
 
 # Pixels per blob-kernel call. The kernel's temporaries (bool masks,
@@ -194,36 +345,81 @@ class BlobAnalyzer:
             roi, _angle = align_vertically(roi)
         return roi
 
-    def analyze_batch(self, grays: Sequence[np.ndarray],
-                      detections_list: Optional[Sequence] = None
-                      ) -> List[Dict]:
-        """Blob leg of many images at once: ROIs are grouped by shape
-        and each group runs through the batch kernel in chunks of at
-        most ``BLOB_CHUNK_BYTES`` pixels. Returns one blob dict per
-        image, in input order."""
-        if detections_list is None:
-            detections_list = [None] * len(grays)
-        rois = [self._roi(g, d) for g, d in zip(grays, detections_list)]
-        by_shape: Dict[Tuple[int, int], List[int]] = {}
-        for i, roi in enumerate(rois):
-            by_shape.setdefault(roi.shape[:2], []).append(i)
-        out: List[Optional[Dict]] = [None] * len(rois)
-        for (rh, rw), idx in by_shape.items():
+    @property
+    def full_frame(self) -> bool:
+        """Whether every ROI is the whole image (no crop, no alignment),
+        so the image stacks can be gathered without computing ROIs."""
+        return self.skip_alignment and not self.crop_label
+
+    def blob_column(self, shapes: np.ndarray,
+                    gather: Callable[[np.ndarray], np.ndarray]) -> pa.Array:
+        """``BLOB_STRUCT`` values of n ROIs of the given (n, 2) shapes,
+        in input order; ``gather(rows)`` returns the (len(rows), H, W)
+        uint8 stack of ROIs ``rows``, which share one shape. ROIs are
+        grouped by shape and each group runs through the batch kernel
+        in chunks of at most ``BLOB_CHUNK_BYTES`` pixels; the kept
+        blobs stay columns, and the fingerprints of all n ROIs are
+        computed at once."""
+        n = len(shapes)
+        if not n:
+            return pa.array([], BLOB_STRUCT)
+        _, first, group = np.unique(shapes[:, 0] << 32 | shapes[:, 1],
+                                    return_index=True, return_inverse=True)
+        rows, parts = [], []
+        for g, (rh, rw) in enumerate(shapes[first].tolist()):
+            idx = np.flatnonzero(group == g)
             step = max(1, BLOB_CHUNK_BYTES // max(rh * rw, 1))
             for s in range(0, len(idx), step):
                 part = idx[s:s + step]
-                masks = imaging.text_masks(np.stack([rois[i] for i in part]))
-                for i, blobs in zip(part, imaging.smart_blobs(
-                        masks, self.min_blob_area)):
-                    out[i] = {"roi_shape": [rh, rw],
-                              "blob_count": len(blobs),
-                              "blob_fingerprint": blob_fingerprint(
-                                  blobs, (rh, rw)),
-                              "blobs": blobs}
-        return out
+                cols = imaging.smart_blob_columns(
+                    imaging.text_masks(gather(part)), self.min_blob_area)
+                rows.append(part[cols.img])
+                parts.append(cols)
+        img = np.concatenate(rows)
+        order = np.argsort(img, kind="stable")
+        cols = imaging.BlobColumns(*(
+            np.concatenate([getattr(p, f) for p in parts])[order]
+            for f in imaging.BlobColumns._fields))
+        counts = np.bincount(img, minlength=n)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        fingerprints = blob_fingerprints(offsets, cols.cx, cols.cy, cols.w,
+                                         cols.h, cols.area, shapes[:, 0],
+                                         shapes[:, 1])
+        blobs = pa.StructArray.from_arrays(
+            [pa.array(getattr(cols, f.name), f.type) for f in _BLOB_ITEM],
+            fields=list(_BLOB_ITEM))
+        return pa.StructArray.from_arrays([
+            pa.FixedSizeListArray.from_arrays(
+                pa.array(shapes.ravel(), pa.int32()), 2),
+            pa.array(counts, pa.int32()),
+            pa.array(fingerprints, pa.string()),
+            pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), blobs),
+        ], fields=list(BLOB_STRUCT))
+
+    def analyze_column(self, grays: Sequence[np.ndarray],
+                       detections_list: Optional[Sequence] = None
+                       ) -> pa.Array:
+        """``blob_column`` of the ROIs of many images (M15/M16 crop and
+        M17 alignment per the flags)."""
+        if detections_list is None:
+            detections_list = [None] * len(grays)
+        rois = [self._roi(g, d) for g, d in zip(grays, detections_list)]
+        shapes = np.array([r.shape[:2] for r in rois],
+                          dtype=np.int64).reshape(-1, 2)
+        return self.blob_column(
+            shapes, lambda rows: np.stack([rois[i] for i in rows]))
+
+    def analyze_batch(self, grays: Sequence[np.ndarray],
+                      detections_list: Optional[Sequence] = None
+                      ) -> List[Dict]:
+        """``analyze_column`` as one blob dict per image."""
+        return self.analyze_column(grays, detections_list).to_pylist()
 
     def analyze(self, gray: np.ndarray, detections=None) -> Dict:
         return self.analyze_batch([gray], [detections])[0]
+
+
+_BLOB_ITEM = BLOB_STRUCT.field("blobs").type.value_type
 
 
 def default_engines(confidence_threshold: float = 0.01):
@@ -251,10 +447,10 @@ def resolve_engines(spec, confidence_threshold: float = 0.01):
 
 
 __all__ = [
-    "DetectEngine", "OcrEngine", "BarcodeEngine",
+    "Detections", "DetectEngine", "OcrEngine", "BarcodeEngine",
     "SyntheticDetectEngine", "SyntheticOcrEngine", "SyntheticBarcodeEngine",
     "BlobAnalyzer", "default_engines", "ENGINE_FACTORIES",
-    "resolve_engines", "decode_payload",
+    "resolve_engines", "decode_payload", "blob_fingerprint",
 ]
 
 # bottom import purely for side effect: adapters.py subclasses the

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .schema import DOC_SCHEMA, MEDIA_SCHEMA
 
@@ -172,12 +174,113 @@ def _make_media_payload(rng: np.random.RandomState, maker: str,
         PAYLOAD_SEP + img.tobytes()
 
 
+class DecodedPayloads(NamedTuple):
+    """A payload column decoded in place. Row i's header is
+    ``headers[i]`` and its gray image the ``shapes[i]`` block of
+    ``data`` at ``starts[i]``; ``ok[i]`` is False, and the header None,
+    where the payload is null or cannot be decoded."""
+    headers: List[Optional[Dict]]
+    ok: np.ndarray
+    shapes: np.ndarray
+    starts: np.ndarray
+    data: np.ndarray
+
+    def gray(self, i: int) -> np.ndarray:
+        h, w = self.shapes[i].tolist()
+        return self.data[self.starts[i]:self.starts[i] + h * w].reshape(h, w)
+
+    def stack(self, rows: np.ndarray) -> np.ndarray:
+        """The (len(rows), H, W) stack of the gray images of ``rows``,
+        which share one shape, gathered straight from ``data``."""
+        h, w = self.shapes[rows[0]].tolist()
+        if h * w == 0:
+            return np.zeros((len(rows), h, w), dtype=np.uint8)
+        return sliding_window_view(self.data, h * w)[
+            self.starts[rows]].reshape(len(rows), h, w)
+
+
+def _parse_headers(texts: List[memoryview]) -> List:
+    """JSON headers, None where one does not parse. One ``json.loads``
+    for the whole batch; if that fails, one per header, so a corrupt
+    header costs only its own row."""
+    try:
+        headers = json.loads("[" + b",".join(texts).decode("utf-8") + "]")
+        if len(headers) == len(texts):
+            return headers
+    except ValueError:
+        pass
+    out = []
+    for text in texts:
+        try:
+            out.append(json.loads(bytes(text).decode("utf-8")))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def _pixel_shape(header, data: np.ndarray, start: int,
+                 size: int) -> Optional[Tuple[int, int]]:
+    """The shape ``reshape(header["h"], header["w"])`` gives the
+    ``size`` pixel bytes at ``start``, None if it raises."""
+    try:
+        h, w = header["h"], header["w"]
+        if type(h) is int and type(w) is int and h >= 0 and w >= 0 \
+                and h * w == size:
+            return h, w
+        return data[start:start + size].reshape(h, w).shape
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def decode_payloads(payloads: pa.Array) -> DecodedPayloads:
+    """Decodes a binary column of payloads without copying pixels: the
+    separator is found by one ``find_substring`` and the headers are
+    parsed by one ``json.loads`` (``_parse_headers``). A payload
+    without a separator, with a header that does not parse or whose
+    dims do not fit its pixel bytes is not ``ok``."""
+    n = len(payloads)
+    bufs = payloads.buffers()
+    offsets = np.frombuffer(
+        bufs[1], np.int64 if pa.types.is_large_binary(payloads.type)
+        else np.int32)[payloads.offset:payloads.offset + n + 1]
+    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None \
+        else np.zeros(0, np.uint8)
+    data.flags.writeable = False
+    sep = pc.fill_null(pc.find_substring(payloads, PAYLOAD_SEP),
+                       -1).to_numpy()
+    found = np.flatnonzero(sep >= 0)
+    head = offsets[found].astype(np.int64)
+    head_end = head + sep[found]
+    pixels = head_end + len(PAYLOAD_SEP)
+    sizes = offsets[found + 1] - pixels
+    view = memoryview(data)
+    texts = [view[a:b] for a, b in zip(head.tolist(), head_end.tolist())]
+    parsed = _parse_headers(texts)
+    dims = [_pixel_shape(hdr, data, start, size) for hdr, start, size in
+            zip(parsed, pixels.tolist(), sizes.tolist())]
+    good = [j for j, shape in enumerate(dims) if shape is not None]
+    rows = found[good]
+    headers: List[Optional[Dict]] = [None] * n
+    for i, j in zip(rows.tolist(), good):
+        headers[i] = parsed[j]
+    ok = np.zeros(n, dtype=bool)
+    ok[rows] = True
+    shapes = np.zeros((n, 2), dtype=np.int64)
+    shapes[rows] = np.array([dims[j] for j in good],
+                            dtype=np.int64).reshape(-1, 2)
+    starts = np.zeros(n, dtype=np.int64)
+    starts[rows] = pixels[good]
+    return DecodedPayloads(headers, ok, shapes, starts, data)
+
+
 def decode_payload(payload: bytes) -> Tuple[Dict, np.ndarray]:
-    """Parse a payload binary back into (header dict, gray image)."""
-    idx = payload.index(PAYLOAD_SEP)
-    header = json.loads(payload[:idx].decode("utf-8"))
-    img = np.frombuffer(payload[idx + len(PAYLOAD_SEP):], dtype=np.uint8)
-    return header, img.reshape(header["h"], header["w"])
+    """Parse a payload binary back into (header dict, gray image):
+    ``decode_payloads`` of one payload. Raises ValueError if it cannot
+    be decoded."""
+    dec = decode_payloads(pa.array([payload], pa.binary()))
+    if not dec.ok[0]:
+        raise ValueError("corrupt media payload")
+    return dec.headers[0], dec.gray(0)
 
 
 def generate_doc(seed: int, doc_index: int):
