@@ -450,6 +450,64 @@ def test_analyze_batch_fingerprints_match_scalar_reference(specs):
             _ref_fingerprint(res["blobs"], g.shape)
 
 
+# --- batch header parse vs one json.loads per header ------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5)
+    | st.text("a~\"\\{", max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text("hw", max_size=2), kids, max_size=3),
+    max_leaves=8)
+_PIECES = ["{", "}", "[", "]", ",", ":", '"', '"a"', "1", " ", "\\",
+           "null", '"~joint~"', "~joint~", '{"h":1}', '"\\"']
+
+
+@st.composite
+def _header_texts(draw):
+    """Valid JSON texts, pieces of them, and JSON-ish token soup."""
+    import json
+    texts = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            text = json.dumps(draw(_JSON), ensure_ascii=False)
+        elif kind == 1:
+            text = json.dumps(draw(_JSON))
+            cut = draw(st.integers(0, len(text)))
+            text = text[:cut] if draw(st.booleans()) else text[cut:]
+        else:
+            text = "".join(draw(st.lists(st.sampled_from(_PIECES),
+                                         max_size=8)))
+        texts.append(text.encode())
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_header_texts())
+@example([b'{"h":1,"w":1,"x":[{}', b'{}]}', b'{"h":1,"w":1},{"h":1,"w":1}'])
+@example([b'{"a":"}', b'{"}', b'{},{}'])
+@example([b'{"a":[1', b'2]},"~joint~",{}'])
+@example([b'{"a":[1', b'2]},"\\u007ejoint~",{}'])
+@example([b'[1', b'2],5,6', b'3'])
+@example([b'[1', b']'])
+def test_batch_header_parse_matches_per_header(texts):
+    """``_parse_headers`` gives every header what ``json.loads`` gives
+    it alone (None where that raises), whatever its neighbours hold."""
+    import gc
+    import json
+
+    from wine_label_ocr_ray.synth import _parse_headers
+
+    def alone(text):
+        try:
+            return json.loads(text.decode("utf-8"))
+        except ValueError:
+            return None
+    assert _parse_headers([memoryview(t) for t in texts]) == \
+        [alone(t) for t in texts]
+    assert gc.isenabled()  # the batch parse pauses the collector only
+
+
 # --- column-wise record assembly vs a row-wise reference -------------
 
 def _ref_merge_raw(raw_lists):

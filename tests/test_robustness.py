@@ -137,14 +137,16 @@ def test_corrupt_payloads_cost_one_row_each(tmp_path):
     """Ray-free: ``MediaExtract`` on one Arrow batch whose media rows
     include a truncated, a bad-JSON-header and a wrong-pixel-count
     payload emits one error row per bad payload and oracle-equal rows
-    for every good one."""
+    for every good one. Three adjacent headers that are each invalid
+    but together read as three valid objects stay corrupt too."""
     import json
 
     from wine_label_ocr_ray.oracle import _process_media
     from wine_label_ocr_ray.stages.media import MediaExtract, raw_to_entries
     from wine_label_ocr_ray.stages.spans import (explode_spans,
                                                  extract_text_spans)
-    from wine_label_ocr_ray.synth import PAYLOAD_SEP, decode_payload
+    from wine_label_ocr_ray.synth import (PAYLOAD_SEP, decode_payload,
+                                          decode_payloads)
 
     out = str(tmp_path / "corpus")
     generate_corpus(out, num_docs=20, seed=5, num_shards=1)
@@ -156,6 +158,12 @@ def test_corrupt_payloads_cost_one_row_each(tmp_path):
         "m-zz-bad-2": b"{not json" + PAYLOAD_SEP + bytes(32),
         "m-zz-bad-3": header + PAYLOAD_SEP + bytes(8 * 4 + 7),
     }
+    # joined by commas into one list these read as 3 one-pixel headers
+    merged = [b'{"h":1,"w":1,"x":[{}', b'{}]}',
+              b'{"h":1,"w":1},{"h":1,"w":1}']
+    merged = [m + PAYLOAD_SEP + bytes(1) for m in merged]
+    assert not decode_payloads(pa.array(merged + [good])).ok[:3].any()
+    bad.update((f"m-zz-bad-{4 + i}", m) for i, m in enumerate(merged))
     refs = sorted(bad)
     pq.write_table(pa.Table.from_arrays(
         [pa.array(refs, pa.string()),

@@ -121,6 +121,63 @@ def test_media_store_overlapping_shards(tmp_path):
     assert got == {"m-500": b"b", "m-100": b"d", "m-999": b"c"}
 
 
+def test_media_store_reads_only_covering_row_groups(tmp_path,
+                                                   monkeypatch):
+    """Row-group pruning: a fetch reads only the row groups whose
+    [min, max] ref range covers one of its refs, and always reads a
+    file written without statistics."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from wine_label_ocr_ray.sources.media import MediaStore
+    d = tmp_path / "media"
+    d.mkdir()
+    refs = [f"m-{i:03d}" for i in range(8)]
+    pq.write_table(pa.table({"media_ref": refs,
+                             "payload": [r.encode() for r in refs]}),
+                   str(d / "a.parquet"), row_group_size=2)
+    pq.write_table(pa.table({"media_ref": ["m-900"], "payload": [b"z"]}),
+                   str(d / "b.parquet"), write_statistics=False)
+    read = []
+    real = pq.ParquetFile.read_row_groups
+
+    def spy(self, groups, *args, **kwargs):
+        read.append((self.metadata.num_rows, list(groups)))
+        return real(self, groups, *args, **kwargs)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", spy)
+    store = MediaStore(str(d))
+    got = store.fetch(["m-005", "m-004", "m-900", "m-777"])
+    assert got == {"m-004": b"m-004", "m-005": b"m-005", "m-900": b"z"}
+    # file a (8 rows): only the group holding m-004 and m-005; file b
+    # (1 row, no statistics): its only group
+    assert sorted(read) == [(1, [0]), (8, [2])]
+
+
+def test_decode_payloads_chunked_large_binary():
+    """A batch's payloads may arrive as several chunks of either binary
+    type (a sliced chunk included); ``decode_payloads`` decodes them as
+    one column, equal to decoding each payload on its own."""
+    import numpy as np
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.synth import (_doc_rng, _make_media_payload,
+                                          decode_payload, decode_payloads)
+    rng = _doc_rng(3, 0)
+    payloads = [_make_media_payload(rng, "Opus One", 2019) for _ in range(5)]
+    payloads[2] = b"{not json"
+    for typ in (pa.large_binary(), pa.binary()):
+        whole = pa.array([b"x"] + payloads, typ)
+        column = pa.chunked_array([whole.slice(1, 2), whole.slice(3, 0),
+                                   whole.slice(3)])
+        dec = decode_payloads(column)
+        assert dec.ok.tolist() == [True, True, False, True, True]
+        for i, p in enumerate(payloads):
+            if dec.ok[i]:
+                header, gray = decode_payload(p)
+                assert dec.headers[i] == header
+                assert np.array_equal(dec.gray(i), gray)
+
+
 def test_window_range_boundary_inclusive(ray_session, tmp_path):
     """Events exactly 30 minutes apart: the trailing window must
     INCLUDE the boundary event (RANGE-frame semantics)."""

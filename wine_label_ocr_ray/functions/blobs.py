@@ -36,14 +36,15 @@ DEFAULT_WEIGHTS = {
 }
 
 
-def _scaled_round(x: np.ndarray, ndigits: int) -> np.ndarray:
-    """``round(abs(v), ndigits) * 10**ndigits`` of every v as an exact
-    int64. Python rounds the exact binary value, ties to even. The
-    float product ``y`` of ``abs(v)`` and the scale misleads ``rint``
-    only when it lands exactly on a half-integer; then its exact
-    rounding error (Dekker's two-product, exact because the scale
-    needs at most 14 bits) tells which side the true value lies on."""
-    scale = 10.0 ** ndigits
+def _scaled_round(x: np.ndarray, ndigits) -> np.ndarray:
+    """``round(abs(v), nd) * 10**nd`` of every v as an exact int64, nd
+    the matching (broadcast) element of ``ndigits``. Python rounds the
+    exact binary value, ties to even. The float product ``y`` of
+    ``abs(v)`` and the scale misleads ``rint`` only when it lands
+    exactly on a half-integer; then its exact rounding error (Dekker's
+    two-product, exact because the scale needs at most 14 bits) tells
+    which side the true value lies on."""
+    scale = 10.0 ** np.asarray(ndigits)
     a = np.abs(x)
     y = a * scale
     if not (np.isfinite(y) & (y < 2.0 ** 40)).all():
@@ -60,54 +61,12 @@ def _scaled_round(x: np.ndarray, ndigits: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
-def _fraction_table(ndigits: int):
-    """The ``ndigits`` ASCII digits of every fraction 0..10**ndigits-1
-    and their used mask: no trailing zeros but the first digit."""
-    digits = (np.arange(10 ** ndigits)[:, None]
-              // 10 ** np.arange(ndigits - 1, -1, -1)) % 10
-    trail = np.cumsum(digits[:, ::-1] != 0, axis=1)[:, ::-1] == 0
-    trail[:, 0] = False
-    return (digits + ord("0")).astype(np.uint8), ~trail
-
-
 # the decimals the fingerprint rounds its features to (hybrid.py:235-239):
 # 3 for cx/W, cy/H, w/W and h/H, 4 for area/(W*H)
-_FRACTIONS = {nd: _fraction_table(nd) for nd in (3, 4)}
-
-
-def _repr_chars(x: np.ndarray, ndigits: int):
-    """``repr(round(v, ndigits))`` of every v of ``x`` as ASCII: a uint8
-    array of shape ``x.shape + (width,)`` and the mask of its used
-    cells. A rounded value is the double nearest k / 10**ndigits, whose
-    shortest repr is that decimal: a '-' when v is negative (-0.0
-    included), no leading zeros but one, no trailing zeros but one."""
-    whole, frac = np.divmod(_scaled_round(x, ndigits), 10 ** ndigits)
-    n_int = len(str(int(whole.max(initial=0))))
-    place = 10 ** np.arange(n_int - 1, -1, -1)
-    frac_chars, frac_used = _FRACTIONS[ndigits]
-    chars = np.empty(x.shape + (n_int + ndigits + 2,), dtype=np.uint8)
-    used = np.ones(chars.shape, dtype=bool)
-    chars[..., 0] = ord("-")
-    used[..., 0] = np.signbit(x)
-    chars[..., 1:n_int + 1] = (whole[..., None] // place) % 10 + ord("0")
-    used[..., 1:n_int] = whole[..., None] >= place[:-1]
-    chars[..., n_int + 1] = ord(".")
-    chars[..., n_int + 2:] = frac_chars[frac]
-    used[..., n_int + 2:] = frac_used[frac]
-    return chars, used
-
-
-def _literal(text: str, used: np.ndarray):
-    chars = np.frombuffer(text.encode(), dtype=np.uint8)
-    shape = used.shape + (len(chars),)
-    return (np.broadcast_to(chars, shape),
-            np.broadcast_to(used[..., None], shape))
-
-
-def _cat(parts):
-    """Concatenates (chars, used) pairs along their last axis."""
-    return (np.concatenate([c for c, _ in parts], axis=-1),
-            np.concatenate([u for _, u in parts], axis=-1))
+_NDIGITS = np.array([3, 3, 3, 3, 4])
+# the ASCII digits of 00..99
+_TWO_DIGITS = (np.stack(np.divmod(np.arange(100), 10), axis=1)
+               + ord("0")).astype(np.uint8)
 
 
 def blob_fingerprints(offsets: np.ndarray, cx, cy, w, h, area,
@@ -115,31 +74,60 @@ def blob_fingerprints(offsets: np.ndarray, cx, cy, w, h, area,
     """``blob_fingerprint`` of many images at once. Image i's blobs are
     rows ``offsets[i]:offsets[i+1]`` of the feature columns and its ROI
     is ``roi_h[i]`` x ``roi_w[i]`` (arrays or scalars). The
-    ``str(feats)`` text of every image is assembled as one byte
-    matrix; only the md5 runs per image."""
+    ``str(feats)`` text of every image is assembled as one byte matrix,
+    a row per blob and a fixed-width cell per feature, and the mask of
+    its used bytes; only the md5 runs per image."""
     n = len(offsets) - 1
     img = np.repeat(np.arange(n), np.diff(offsets))
     H = np.broadcast_to(roi_h, (n,))[img]
     W = np.broadcast_to(roi_w, (n,))[img]
+    cx, cy, w, h, area = (np.asarray(f, dtype=np.float64)
+                          for f in (cx, cy, w, h, area))
     # stable: equal (cy, cx) keys keep input order, like sorted()
     order = np.lexsort((cx, cy, img))
     img = img[order]
-    cx, cy, w, h, area = (np.asarray(f, dtype=np.float64)
-                          for f in (cx, cy, w, h, area))
+    feats = np.stack([cx / W, cy / H, w / W, h / H, area / (W * H)],
+                     axis=1)[order]
     first = np.ones(len(img), dtype=bool)
     first[1:] = img[1:] != img[:-1]
     last = np.ones(len(img), dtype=bool)
     last[:-1] = first[1:]
-    every = np.ones(len(img), dtype=bool)
-    # "(cx/W, cy/H, w/W, h/H, area/(W*H))", one row per blob
-    ratios = np.stack([cx / W, cy / H, w / W, h / H], axis=1)[order]
-    four = _cat([_repr_chars(ratios, 3),
-                 _literal(", ", np.ones(ratios.shape, dtype=bool))])
-    chars, used = _cat([
-        _literal("[", first), _literal("(", every),
-        tuple(a.reshape(len(img), a.shape[1] * a.shape[2]) for a in four),
-        _repr_chars((area / (W * H))[order], 4),
-        _literal(")", every), _literal(", ", ~last), _literal("]", last)])
+    # repr(round(v, nd)) is the shortest repr of the double nearest
+    # k / 10**nd: that decimal, with a '-' when v is negative (-0.0
+    # too), no leading zeros but one and no trailing zeros but one
+    whole, frac = np.divmod(_scaled_round(feats, _NDIGITS), 10 ** _NDIGITS)
+    frac *= 10 ** (4 - _NDIGITS)  # as 4 decimals
+    hi, lo = np.divmod(frac, 100)
+    n_int = len(str(int(whole.max(initial=0))))
+    place = 10 ** np.arange(n_int - 1, -1, -1)
+    # a feature's cell: sign, whole digits, '.', 4 decimals, then ", "
+    # or, for the last feature, ')' and ',' (']' on an image's last row)
+    cells = np.empty((len(img), 5, n_int + 8), dtype=np.uint8)
+    width = 5 * (n_int + 8)
+    cell_used = np.ones(cells.shape, dtype=bool)
+    cells[..., 0] = ord("-")
+    cell_used[..., 0] = np.signbit(feats)
+    cells[..., 1:n_int + 1] = (whole[..., None] // place) % 10 + ord("0")
+    cell_used[..., 1:n_int] = whole[..., None] >= place[:-1]
+    cells[..., n_int + 1] = ord(".")
+    cells[..., n_int + 2:n_int + 4] = _TWO_DIGITS[hi]
+    cells[..., n_int + 4:n_int + 6] = _TWO_DIGITS[lo]
+    cell_used[..., n_int + 3] = frac % 1000 != 0
+    cell_used[..., n_int + 4] = lo != 0
+    cell_used[..., n_int + 5] = lo % 10 != 0
+    cells[..., -2:] = np.frombuffer(b", ", dtype=np.uint8)
+    cells[:, 4, -2] = ord(")")
+    cells[:, 4, -1] = np.where(last, ord("]"), ord(","))
+    # a row: '[' on an image's first row, '(', the cells, ' ' but on
+    # an image's last row
+    chars = np.concatenate([
+        np.broadcast_to(np.frombuffer(b"[(", dtype=np.uint8),
+                        (len(img), 2)),
+        cells.reshape(len(img), width),
+        np.full((len(img), 1), ord(" "), dtype=np.uint8)], axis=1)
+    used = np.concatenate([first[:, None], np.ones((len(img), 1), bool),
+                           cell_used.reshape(len(img), width),
+                           ~last[:, None]], axis=1)
     text = memoryview(chars[used].tobytes())
     ends = np.cumsum(np.bincount(img, used.sum(axis=1), n)).astype(int)
     out, start = [], 0

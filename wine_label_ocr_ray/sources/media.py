@@ -5,15 +5,17 @@ fetch exactly the refs in their batch — pixels never ride the shuffle
 (SURVEY.md section 4.2). This store models that access path over the
 corpus's parquet side table:
 
-- fragment ROUTING once per actor: each file's footer statistics give
-  the (min, max) ``media_ref`` range (files are written sorted by ref),
-  so a fetch opens only the files that can contain its refs;
+- fragment ROUTING once per actor: every file is opened once, and each
+  row group's footer statistics give its (min, max) ``media_ref`` range
+  (files are written sorted by ref), so a fetch reads only the row
+  groups that can contain its refs, then keeps the rows it asked for;
 - ``fetch_column`` returns the batch's payloads as the Arrow binary
   column the read produced, never as Python bytes objects, plus each
-  ref's row in it (``fetch`` is the dict-of-bytes view of it);
-- per-file reads use an ``isin`` filter (row-group pruning via sorted
-  stats) with ``use_threads=False`` — many actors each spinning up a
-  full Arrow thread pool thrashes the node.
+  ref's row in it (``fetch`` is the dict-of-bytes view of it). The
+  column stays chunked as read: ``synth.decode_payloads`` joins the
+  chunks as large_binary, so a batch's payloads may pass 2 GiB;
+- reads run with ``use_threads=False`` — many actors each spinning up
+  a full Arrow thread pool thrashes the node.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import glob
 import os
 from typing import Dict, List, Tuple
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -32,58 +35,64 @@ class MediaStore:
         files = sorted(glob.glob(os.path.join(media_path, "*.parquet")))
         if not files:
             raise FileNotFoundError(f"media store not found: {media_path}")
-        self._files: List[str] = []
-        self._mins: List[str] = []
-        self._maxs: List[str] = []
+        handles, ranges = [], []
         for f in files:
-            md = pq.ParquetFile(f).metadata
+            pf = pq.ParquetFile(f)
+            md = pf.metadata
             ref_idx = md.schema.to_arrow_schema().get_field_index("media_ref")
-            mins, maxs = [], []
+            groups = []
             for rg in range(md.num_row_groups):
                 st = md.row_group(rg).column(ref_idx).statistics
                 if st is None or not st.has_min_max:
-                    mins, maxs = None, None
-                    break
-                mins.append(st.min)
-                maxs.append(st.max)
-            if mins is None:
-                self._mins.append("")          # unknown range: always probe
-                self._maxs.append("\U0010ffff")
-            else:
-                self._mins.append(min(mins))
-                self._maxs.append(max(maxs))
-            self._files.append(f)
-        order = sorted(range(len(self._files)), key=lambda i: self._mins[i])
-        self._files = [self._files[i] for i in order]
-        self._mins = [self._mins[i] for i in order]
-        self._maxs = [self._maxs[i] for i in order]
+                    groups.append(("", "\U0010ffff"))  # unknown: always read
+                else:
+                    groups.append((st.min, st.max))
+            handles.append(pf)
+            ranges.append(groups)
+        # files in order of their smallest ref, row groups in file order
+        order = sorted(range(len(files)), key=lambda i: min(
+            [lo for lo, _ in ranges[i]], default=""))
+        self._files = [handles[i] for i in order]
+        self._groups = [(i, rg) for i in range(len(order))
+                        for rg in range(len(ranges[order[i]]))]
+        self._lo = np.array([lo for i in order for lo, _ in ranges[i]],
+                            dtype=object)
+        self._hi = np.array([hi for i in order for _, hi in ranges[i]],
+                            dtype=object)
 
-    def fetch_column(self, refs: pa.Array) -> Tuple[pa.Array, pa.Array]:
-        """Payloads of a batch of refs, without copying them: one binary
-        column holding the payload of every ref found, and, aligned
-        with ``refs``, each ref's row in it (null where a ref is
-        missing). Each file is read once, for the refs its [min, max]
-        range covers (ranges may overlap across shards); a ref stored in
-        several files takes the first file's payload."""
+    def fetch_column(self, refs: pa.Array
+                     ) -> Tuple[pa.ChunkedArray, pa.Array]:
+        """Payloads of a batch of refs, without copying them: the
+        (chunked) binary column holding the payload of every ref found,
+        and, aligned with ``refs``, each ref's row in it (null where a
+        ref is missing). Only the row groups whose [min, max] range
+        covers a ref are read, each file once (ranges may overlap
+        across shards); a ref stored in several files takes the first
+        file's payload."""
         if isinstance(refs, pa.ChunkedArray):
             refs = refs.combine_chunks()
         keys = pc.unique(refs.drop_null())
+        ordered = pc.array_take(keys, pc.sort_indices(keys)).to_numpy(
+            zero_copy_only=False)
+        hit = np.searchsorted(ordered, self._hi, side="right") \
+            > np.searchsorted(ordered, self._lo, side="left")
+        wanted: Dict[int, List[int]] = {}
+        for g in np.flatnonzero(hit).tolist():
+            i, rg = self._groups[g]
+            wanted.setdefault(i, []).append(rg)
         parts = []
-        for path, lo, hi in zip(self._files, self._mins, self._maxs):
-            wanted = keys.filter(pc.and_(pc.greater_equal(keys, lo),
-                                         pc.less_equal(keys, hi)))
-            if len(wanted):
-                parts.append(pq.read_table(
-                    path, columns=["media_ref", "payload"],
-                    filters=pc.field("media_ref").isin(wanted),
-                    use_threads=False))
+        for i, groups in wanted.items():
+            t = self._files[i].read_row_groups(
+                groups, columns=["media_ref", "payload"], use_threads=False)
+            keep = pc.is_in(t.column("media_ref"), value_set=keys)
+            # filtering copies the payloads: skip it when every row is
+            # wanted, as in a batch that holds a whole shard's media
+            parts.append(t if pc.all(keep).as_py() else t.filter(keep))
         if not parts:
-            return pa.array([], pa.binary()), pa.nulls(len(refs), pa.int32())
+            return (pa.chunked_array([], pa.binary()),
+                    pa.nulls(len(refs), pa.int32()))
         found = pa.concat_tables(parts)
-        payloads = found.column("payload")
-        payloads = payloads.chunk(0) if payloads.num_chunks == 1 \
-            else payloads.combine_chunks()
-        return payloads, pc.index_in(
+        return found.column("payload"), pc.index_in(
             refs, value_set=found.column("media_ref").combine_chunks())
 
     def fetch(self, refs: List[str]) -> Dict[str, bytes]:

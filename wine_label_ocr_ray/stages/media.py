@@ -14,14 +14,13 @@ actor over the flagship plan's doc rows.
 One ``__call__`` is one columnar pass over the batch's media rows, with
 no loop over payloads: the payloads arrive as one Arrow binary column
 straight from the parquet read (``MediaStore.fetch_column``), are
-decoded in place
-(``synth.decode_payloads``: one header parse, pixels never copied), and
-every engine is called once per batch through its batch method
-(``state/engines.py``). ``route_media`` routes all detections of the
-batch as one flat (payload, detection) table, and the blob leg gathers
-same-shape pixel blocks straight from the payload column into image
-stacks (``BlobAnalyzer.blob_column``). Every output column is built as
-an Arrow array and spliced into the batch.
+decoded in place (``synth.decode_payloads``: one header parse, pixels
+never copied), and every engine is called once per batch through its
+batch method (``state/engines.py``). ``route_media`` routes all
+detections of the batch as one flat (payload, detection) table, and the
+blob leg runs the batch's images, grouped by shape, through the batch
+kernel (``BlobAnalyzer.analyze_column``). Every output column is built
+as an Arrow array and spliced into the batch.
 
 Field-routing semantics are an exact port of ``_extract_fields``
 (``final_run_ocr.py:299-351``): per-class candidate buckets, the
@@ -38,8 +37,7 @@ code.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -60,8 +58,11 @@ _VINTAGE_CLASSES = frozenset({"vintage", "year"})
 # to the bucket named after it
 _BUCKETS = ["maker_name_candidates", "vintage_candidates",
             "vintage_from_maker_region", "vintage_from_fallback"]
+_SPACE = pa.scalar(" ")
+_MEDIA = pa.scalar("media")
 _SPLICED = ("span_text", "maker_name", "raw", "vintage_str",
             "vintage_by_yolo", "barcode", "blob")
+_MEDIA_ONLY = frozenset(_SPLICED) - {"span_text", "vintage_by_yolo"}
 
 
 def _segment_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -86,11 +87,12 @@ def _pick(group: np.ndarray, ks: np.ndarray, n: int,
           last: bool = False) -> np.ndarray:
     """Per group g in 0..n-1: the first (or last) position k in ``ks``,
     taken in order, with ``group[k] == g``; -1 where there is none."""
+    pos = np.full(n, -1 if last else len(ks), dtype=np.int64)
+    (np.maximum if last else np.minimum).at(pos, group[ks],
+                                            np.arange(len(ks)))
+    found = (pos >= 0) & (pos < len(ks))
     out = np.full(n, -1, dtype=np.int64)
-    if last:
-        ks = ks[::-1]
-    g, first = np.unique(group[ks], return_index=True)
-    out[g] = ks[first]
+    out[found] = ks[pos[found]]
     return out
 
 
@@ -104,27 +106,21 @@ def _lists(values: pa.Array, group: np.ndarray, n: int) -> pa.Array:
 
 def _per_text(fn: Callable[[str], str], texts: pa.Array) -> pa.Array:
     """``fn`` of every text, called once per distinct text."""
-    distinct = pc.unique(texts)
-    return pa.array([fn(t) for t in distinct.to_pylist()], pa.string()).take(
-        pc.index_in(texts, value_set=distinct))
-
-
-class _Images(Sequence):
-    """The images of payloads ``rows``, each built only when read."""
-
-    def __init__(self, gray: Callable[[int], np.ndarray], rows: np.ndarray):
-        self._gray, self._rows = gray, rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self._gray(self._rows[i])
+    codes = pc.dictionary_encode(texts)
+    return pc.array_take(
+        pa.array([fn(t) for t in codes.dictionary.to_pylist()], pa.string()),
+        codes.indices)
 
 
 def _take(values: pa.Array, idx: np.ndarray) -> pa.Array:
     """``values[idx]``, null where idx < 0."""
-    return values.take(pa.array(idx, mask=idx < 0))
+    return pc.array_take(values, pa.array(idx, mask=idx < 0))
+
+
+def _said(texts: pa.Array) -> np.ndarray:
+    """Where a (slice-free) string array holds a non-empty string."""
+    offsets = np.frombuffer(texts.buffers()[1], np.int32, len(texts) + 1)
+    return offsets[1:] > offsets[:-1]
 
 
 def route_media(decoded: Sequence[Dict], dets: Detections,
@@ -156,18 +152,17 @@ def route_media(decoded: Sequence[Dict], dets: Detections,
     H = np.array([d["h"] for d in decoded], dtype=np.int64)
     texts, confs = ocr_engine.ocr_boxes(
         decoded, p, pad_boxes(dets.box, W[p], H[p], pad))
-    txt = pc.utf8_trim_whitespace(pc.binary_join(texts, " "))
+    txt = pc.utf8_trim_whitespace(pc.binary_join(texts, _SPACE))
     conf = _segment_means(
         pc.list_flatten(confs).to_numpy(zero_copy_only=False),
         pc.list_value_length(confs).to_numpy(zero_copy_only=False))
-    said = pc.greater(pc.utf8_length(txt), 0)
+    said = _said(txt)
     span_text = pc.binary_join(
-        _lists(txt.filter(said), p[said.to_numpy(zero_copy_only=False)], n),
-        " ")
+        _lists(pc.array_filter(txt, pa.array(said)), p[said], n), _SPACE)
 
     # maker: the first of each payload's longest cleaned maker texts
     mk = np.flatnonzero(is_maker)
-    cleaned = _per_text(T.clean_maker_crop, txt.take(mk))
+    cleaned = _per_text(T.clean_maker_crop, pc.array_take(txt, mk))
     length = pc.utf8_length(cleaned).to_numpy(zero_copy_only=False)
     cand = np.flatnonzero(length >= 2)
     cand = cand[np.lexsort((cand, -length[cand], p[mk][cand]))]
@@ -175,7 +170,7 @@ def route_media(decoded: Sequence[Dict], dets: Detections,
 
     # years, read only from maker and vintage texts
     ask = np.flatnonzero(is_maker | is_vint)
-    years = _per_text(T.extract_year_from_text, txt.take(ask))
+    years = _per_text(T.extract_year_from_text, pc.array_take(txt, ask))
     found = np.flatnonzero(pc.is_valid(years).to_numpy(zero_copy_only=False))
     year_of = np.full(m, -1, dtype=np.int64)
     year_of[ask[found]] = found
@@ -185,50 +180,51 @@ def route_media(decoded: Sequence[Dict], dets: Detections,
     maker_year = _pick(p, np.flatnonzero(is_maker & has_year), n)
     vint_year = np.flatnonzero(is_vint & has_year)
     first_vint = _pick(p, vint_year, n)
-    from_maker = (maker_year >= 0) & ((first_vint < 0)
-                                      | (maker_year < first_vint))
+    from_maker = np.flatnonzero((maker_year >= 0) & (
+        (first_vint < 0) | (maker_year < first_vint)))
     src = np.where(first_vint >= 0, _pick(p, vint_year, n, last=True),
                    maker_year)
     vintage_by_yolo = np.bincount(p[is_vint], minlength=n) > 0
 
     # full-image fallback sweep where YOLO found no vintage at all
     swept = np.flatnonzero(~vintage_by_yolo & (src < 0))
-    sweeps = pa.array([T.sweep_year_from_texts(t) for t in
-                       ocr_engine.ocr_sweeps(
-                           [decoded[i] for i in swept], sweep_max_variants,
-                           _Images(gray, swept))], pa.string())
-    hit = pc.is_valid(sweeps)
-    sweep_hits = sweeps.filter(hit)
-    hit = hit.to_numpy(zero_copy_only=False)
+    sweeps = [T.sweep_year_from_texts(t) for t in ocr_engine.ocr_sweeps(
+        [decoded[i] for i in swept], sweep_max_variants,
+        [gray(i) for i in swept.tolist()])] if len(swept) else []
+    hit = swept[[y is not None for y in sweeps]]
     vintage_idx = np.full(n, -1, dtype=np.int64)
     vintage_idx[src >= 0] = year_of[src[src >= 0]]
-    vintage_idx[swept[hit]] = len(years) + np.flatnonzero(hit)
-    vintage_str = _take(pa.concat_arrays([years, sweeps]), vintage_idx)
+    vintage_idx[hit] = len(years) + np.arange(len(hit))
+    # every text a raw entry or vintage_str can hold: the detections'
+    # texts, the cleaned maker texts, their years and the sweep hits
+    pool = pa.concat_arrays([txt, cleaned, years, pa.array(
+        [y for y in sweeps if y is not None], pa.string())])
+    vintage_str = _take(pool, vintage_idx + np.where(vintage_idx >= 0,
+                                                     m + len(mk), 0))
 
     # raw entries: one per detection, a maker-region year right after
     # its detection's, a sweep hit last; buckets in first-use order
-    ent_payload = np.concatenate([p, np.flatnonzero(from_maker),
-                                  swept[hit]])
+    k = len(from_maker)
+    ent_payload = np.concatenate([p, from_maker, hit])
     ent_time = np.concatenate([2 * np.arange(m),
                                2 * maker_year[from_maker] + 1,
-                               np.full(hit.sum(), 2 * m)])
-    ent_bucket = np.concatenate([bucket, np.full(from_maker.sum(), 2),
-                                 np.full(hit.sum(), 3)])
-    det_text = _take(pa.concat_arrays([txt, cleaned]), np.where(
-        is_maker, m + np.cumsum(is_maker) - 1, np.arange(m)))
-    ent_text = pa.concat_arrays([
-        det_text, years.take(year_of[maker_year[from_maker]]),
-        sweep_hits])
+                               np.full(len(hit), 2 * m)])
+    ent_bucket = np.concatenate([bucket, np.full(k, 2), np.full(len(hit), 3)])
+    ent_text = np.concatenate([
+        np.where(is_maker, m + np.cumsum(is_maker) - 1, np.arange(m)),
+        m + len(mk) + year_of[maker_year[from_maker]],
+        m + len(mk) + len(years) + np.arange(len(hit))])
     ent_conf = np.concatenate([conf, conf[maker_year[from_maker]],
-                               np.zeros(hit.sum())])
+                               np.zeros(len(hit))])
     order = np.lexsort((ent_time, ent_payload))
     _, first, inverse = np.unique(
         ent_payload[order] * len(buckets) + ent_bucket[order],
         return_index=True, return_inverse=True)
     order = order[np.argsort(first[inverse], kind="stable")]
     raw = _lists(pa.StructArray.from_arrays([
-        buckets.take(ent_bucket[order]), ent_text.take(order),
-        pa.array(ent_conf[order], mask=order >= m + from_maker.sum())],
+        pc.array_take(buckets, ent_bucket[order]),
+        pc.array_take(pool, ent_text[order]),
+        pa.array(ent_conf[order], mask=order >= m + k)],
         fields=list(RAW_ENTRY_STRUCT)), ent_payload[order], n)
 
     return {"span_text": span_text, "maker_name": maker_name, "raw": raw,
@@ -313,12 +309,10 @@ class MediaExtract:
             headers, dets, lambda j: dec.gray(ok[j]),
             ocr_engine=self.ocr_engine, barcode_engine=self.barcode_engine,
             pad=self.pad, sweep_max_variants=self.sweep_max_variants)
-        if self.blob_analyzer.full_frame:
-            fields["blob"] = self.blob_analyzer.blob_column(
-                dec.shapes[ok], lambda rows: dec.stack(ok[rows]))
-        else:
-            fields["blob"] = self.blob_analyzer.analyze_column(
-                [dec.gray(i) for i in ok], dets.per_image(len(ok)))
+        fields["blob"] = self.blob_analyzer.analyze_column(
+            [dec.gray(i) for i in ok.tolist()],
+            dets.per_image(len(ok)) if self.blob_analyzer.crop_label
+            else None)
         # each media row's position in ``fields``; -1 where its payload
         # is missing or cannot be decoded
         routed = np.full(len(payloads) + 1, -1, dtype=np.int64)
@@ -337,7 +331,7 @@ class MediaExtract:
         return {name: fields[name].take(pa.array(pos)) for name in _SPLICED}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        mask_np = pc.equal(batch.column("kind"), "media").to_numpy(
+        mask_np = pc.equal(batch.column("kind"), _MEDIA).to_numpy(
             zero_copy_only=False)
         if not mask_np.any():
             return batch
@@ -347,10 +341,12 @@ class MediaExtract:
         # splice the media rows' values in — no full-column python
         # round-trips for the (large) text-span columns
         mask_arr = pa.array(mask_np)
-        # nested (list/struct) columns: replace_with_mask has no nested
-        # kernel — scatter via a null-masked take instead. Valid because
-        # text rows carry NULL raw/blob by construction (explode_spans),
-        # so "media value where media, null elsewhere" IS the splice.
+        # media-only columns (everything but span_text and
+        # vintage_by_yolo): scatter via a null-masked take, which also
+        # covers the nested ones replace_with_mask has no kernel for.
+        # Valid because text rows carry NULL there by construction
+        # (explode_spans), so "media value where media, null elsewhere"
+        # IS the splice.
         scatter_idx = np.zeros(len(batch), dtype=np.int64)
         scatter_idx[media_idx] = np.arange(len(media_idx))
         scatter = pa.array(scatter_idx, mask=~mask_np)
@@ -359,9 +355,11 @@ class MediaExtract:
         for name in _SPLICED:
             field_idx = out.schema.get_field_index(name)
             typ = out.schema.field(name).type
-            new_vals = vals[name].cast(typ)
-            if pa.types.is_nested(typ):
-                replaced = pc.take(new_vals, scatter)
+            new_vals = vals[name]
+            if new_vals.type != typ:
+                new_vals = new_vals.cast(typ)
+            if name in _MEDIA_ONLY:
+                replaced = pc.array_take(new_vals, scatter)
             else:
                 col = out.column(name)
                 if isinstance(col, pa.ChunkedArray):

@@ -34,8 +34,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import chain
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -52,6 +51,13 @@ from ..functions.enhance import (align_vertically, find_label_roi,
                                  sweep_variant_crops)
 from ..schema import BLOB_STRUCT
 from ..synth import decode_payload
+
+
+def _numeric(values: np.ndarray, typ: pa.DataType) -> pa.Array:
+    """``pa.array(values, typ)`` of in-range values, converted by numpy
+    (Arrow's checked cast costs tens of microseconds per call)."""
+    return pa.array(np.asarray(values, dtype=typ.to_pandas_dtype()))
+
 
 TEXTS_TYPE = pa.list_(pa.string())
 CONFS_TYPE = pa.list_(pa.float64())
@@ -272,7 +278,7 @@ class SyntheticOcrEngine(OcrEngine):
         inside = np.flatnonzero(
             (eb[:, 0] >= b[:, 0]) & (eb[:, 1] >= b[:, 1])
             & (eb[:, 2] <= b[:, 2]) & (eb[:, 3] <= b[:, 3]) & has_text[el])
-        offsets = pa.array(np.concatenate([[0], np.cumsum(np.bincount(
+        offsets = _numeric(np.concatenate([[0], np.cumsum(np.bincount(
             box[inside], minlength=len(image)))]), pa.int32())
         read = el[inside].tolist()
         return (pa.ListArray.from_arrays(offsets, pa.array(
@@ -345,24 +351,22 @@ class BlobAnalyzer:
             roi, _angle = align_vertically(roi)
         return roi
 
-    @property
-    def full_frame(self) -> bool:
-        """Whether every ROI is the whole image (no crop, no alignment),
-        so the image stacks can be gathered without computing ROIs."""
-        return self.skip_alignment and not self.crop_label
-
-    def blob_column(self, shapes: np.ndarray,
-                    gather: Callable[[np.ndarray], np.ndarray]) -> pa.Array:
-        """``BLOB_STRUCT`` values of n ROIs of the given (n, 2) shapes,
-        in input order; ``gather(rows)`` returns the (len(rows), H, W)
-        uint8 stack of ROIs ``rows``, which share one shape. ROIs are
+    def analyze_column(self, grays: Sequence[np.ndarray],
+                       detections_list: Optional[Sequence] = None
+                       ) -> pa.Array:
+        """``BLOB_STRUCT`` values of the ROIs of many images (M15/M16
+        crop and M17 alignment per the flags), in input order. ROIs are
         grouped by shape and each group runs through the batch kernel
-        in chunks of at most ``BLOB_CHUNK_BYTES`` pixels; the kept
-        blobs stay columns, and the fingerprints of all n ROIs are
-        computed at once."""
-        n = len(shapes)
+        in chunks of at most ``BLOB_CHUNK_BYTES`` pixels; the kept blobs
+        stay columns, and the fingerprints of all ROIs are computed at
+        once."""
+        n = len(grays)
         if not n:
             return pa.array([], BLOB_STRUCT)
+        if detections_list is None:
+            detections_list = [None] * n
+        rois = [self._roi(g, d) for g, d in zip(grays, detections_list)]
+        shapes = np.array([r.shape[:2] for r in rois], dtype=np.int64)
         _, first, group = np.unique(shapes[:, 0] << 32 | shapes[:, 1],
                                     return_index=True, return_inverse=True)
         rows, parts = [], []
@@ -372,7 +376,9 @@ class BlobAnalyzer:
             for s in range(0, len(idx), step):
                 part = idx[s:s + step]
                 cols = imaging.smart_blob_columns(
-                    imaging.text_masks(gather(part)), self.min_blob_area)
+                    imaging.text_masks(np.stack([rois[i] for i in
+                                                 part.tolist()])),
+                    self.min_blob_area)
                 rows.append(part[cols.img])
                 parts.append(cols)
         img = np.concatenate(rows)
@@ -386,28 +392,15 @@ class BlobAnalyzer:
                                          cols.h, cols.area, shapes[:, 0],
                                          shapes[:, 1])
         blobs = pa.StructArray.from_arrays(
-            [pa.array(getattr(cols, f.name), f.type) for f in _BLOB_ITEM],
+            [_numeric(getattr(cols, f.name), f.type) for f in _BLOB_ITEM],
             fields=list(_BLOB_ITEM))
         return pa.StructArray.from_arrays([
             pa.FixedSizeListArray.from_arrays(
-                pa.array(shapes.ravel(), pa.int32()), 2),
-            pa.array(counts, pa.int32()),
+                _numeric(shapes.ravel(), pa.int32()), 2),
+            _numeric(counts, pa.int32()),
             pa.array(fingerprints, pa.string()),
-            pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), blobs),
+            pa.ListArray.from_arrays(_numeric(offsets, pa.int32()), blobs),
         ], fields=list(BLOB_STRUCT))
-
-    def analyze_column(self, grays: Sequence[np.ndarray],
-                       detections_list: Optional[Sequence] = None
-                       ) -> pa.Array:
-        """``blob_column`` of the ROIs of many images (M15/M16 crop and
-        M17 alignment per the flags)."""
-        if detections_list is None:
-            detections_list = [None] * len(grays)
-        rois = [self._roi(g, d) for g, d in zip(grays, detections_list)]
-        shapes = np.array([r.shape[:2] for r in rois],
-                          dtype=np.int64).reshape(-1, 2)
-        return self.blob_column(
-            shapes, lambda rows: np.stack([rois[i] for i in rows]))
 
     def analyze_batch(self, grays: Sequence[np.ndarray],
                       detections_list: Optional[Sequence] = None

@@ -24,6 +24,7 @@ so content is independent of sharding and generation order.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -32,7 +33,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .schema import DOC_SCHEMA, MEDIA_SCHEMA
 
@@ -189,30 +189,49 @@ class DecodedPayloads(NamedTuple):
         h, w = self.shapes[i].tolist()
         return self.data[self.starts[i]:self.starts[i] + h * w].reshape(h, w)
 
-    def stack(self, rows: np.ndarray) -> np.ndarray:
-        """The (len(rows), H, W) stack of the gray images of ``rows``,
-        which share one shape, gathered straight from ``data``."""
-        h, w = self.shapes[rows[0]].tolist()
-        if h * w == 0:
-            return np.zeros((len(rows), h, w), dtype=np.uint8)
-        return sliding_window_view(self.data, h * w)[
-            self.starts[rows]].reshape(len(rows), h, w)
+
+def _loads_paused(text: str):
+    """``json.loads`` with the cyclic garbage collector paused. A batch's
+    headers stay alive together, so while they are built the collector
+    would keep rescanning them; JSON values hold no reference cycles, so
+    it has nothing to find in them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# the string value between the headers of a batch parse (_parse_headers)
+_JOINT = b'"~joint~"'
 
 
 def _parse_headers(texts: List[memoryview]) -> List:
-    """JSON headers, None where one does not parse. One ``json.loads``
-    for the whole batch; if that fails, one per header, so a corrupt
-    header costs only its own row."""
-    try:
-        headers = json.loads("[" + b",".join(texts).decode("utf-8") + "]")
-        if len(headers) == len(texts):
-            return headers
-    except ValueError:
-        pass
+    """JSON headers, None where one does not parse: what ``json.loads``
+    gives each text on its own, via one ``json.loads`` of the list
+    ``[t1, J, t2, J, ..., tn]`` (J the ``_JOINT`` string). That parse is
+    kept only when it can hold nothing but the texts' own values: no
+    text has a backslash, so every string is its literal bytes and J's
+    bytes occur only at the n-1 joints; if the list then holds J at every
+    odd index and 2n-1 items, each joint sits at the top level of the
+    list and each text is exactly one item. Otherwise every text is
+    parsed on its own, so a corrupt header costs only its own row."""
+    joined = (b"," + _JOINT + b",").join(texts)
+    if b"\\" not in joined and joined.count(_JOINT) == len(texts) - 1:
+        try:
+            items = _loads_paused("[" + str(joined, "utf-8") + "]")
+        except ValueError:
+            items = []
+        joint = _JOINT[1:-1].decode()
+        if len(items) == 2 * len(texts) - 1 \
+                and items[1::2].count(joint) == len(texts) - 1:
+            return items[::2]
     out = []
     for text in texts:
         try:
-            out.append(json.loads(bytes(text).decode("utf-8")))
+            out.append(json.loads(str(text, "utf-8")))
         except ValueError:
             out.append(None)
     return out
@@ -232,17 +251,23 @@ def _pixel_shape(header, data: np.ndarray, start: int,
         return None
 
 
-def decode_payloads(payloads: pa.Array) -> DecodedPayloads:
-    """Decodes a binary column of payloads without copying pixels: the
-    separator is found by one ``find_substring`` and the headers are
-    parsed by one ``json.loads`` (``_parse_headers``). A payload
-    without a separator, with a header that does not parse or whose
-    dims do not fit its pixel bytes is not ``ok``."""
+def decode_payloads(payloads) -> DecodedPayloads:
+    """Decodes a binary column of payloads (an Arrow array or chunked
+    array, binary or large_binary) without copying pixels: the chunks
+    are joined as one large_binary array, so a batch may hold more than
+    2 GiB of payloads; the separator is found by one ``find_substring``
+    and the headers are parsed by one ``json.loads``
+    (``_parse_headers``). A payload without a separator, with a header
+    that does not parse or whose dims do not fit its pixel bytes is not
+    ``ok``."""
+    payloads = payloads.cast(pa.large_binary())
+    if isinstance(payloads, pa.ChunkedArray):
+        payloads = payloads.chunk(0) if payloads.num_chunks == 1 \
+            else payloads.combine_chunks()
     n = len(payloads)
     bufs = payloads.buffers()
-    offsets = np.frombuffer(
-        bufs[1], np.int64 if pa.types.is_large_binary(payloads.type)
-        else np.int32)[payloads.offset:payloads.offset + n + 1]
+    offsets = np.frombuffer(bufs[1], np.int64)[
+        payloads.offset:payloads.offset + n + 1]
     data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None \
         else np.zeros(0, np.uint8)
     data.flags.writeable = False
