@@ -310,7 +310,7 @@ class MediaExtract:
             ocr_engine=self.ocr_engine, barcode_engine=self.barcode_engine,
             pad=self.pad, sweep_max_variants=self.sweep_max_variants)
         fields["blob"] = self.blob_analyzer.analyze_column(
-            [dec.gray(i) for i in ok.tolist()],
+            dec.grays(ok),
             dets.per_image(len(ok)) if self.blob_analyzer.crop_label
             else None)
         # each media row's position in ``fields``; -1 where its payload

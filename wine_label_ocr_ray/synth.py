@@ -189,6 +189,11 @@ class DecodedPayloads(NamedTuple):
         h, w = self.shapes[i].tolist()
         return self.data[self.starts[i]:self.starts[i] + h * w].reshape(h, w)
 
+    def grays(self, rows: np.ndarray) -> List[np.ndarray]:
+        """``gray(i)`` of every i in ``rows``."""
+        return [self.data[s:s + h * w].reshape(h, w) for s, (h, w) in
+                zip(self.starts[rows].tolist(), self.shapes[rows].tolist())]
+
 
 def _loads_paused(text: str):
     """``json.loads`` with the cyclic garbage collector paused. A batch's
