@@ -1,716 +1,224 @@
 #!/usr/bin/env python
-"""Benchmark harness.
+"""Benchmark harness. Each mode prints one JSON line.
 
-Default mode: runs the headline flagship extraction pipeline (detect +
-OCR + span reassembly over the deterministic 150k-doc interleaved
-corpus) plus a representative query subset over $GRAFT_SF_DIR, inside
-one fresh Ray session of $RAY_GRAFT_CPUS cpus, and prints ONE JSON
-line:
+``python bench.py``: the flagship (detect + OCR + span reassembly over
+the deterministic interleaved corpus of $WLOR_BENCH_DOCS docs, default
+150,000) in a fresh Ray session of $RAY_GRAFT_CPUS CPUs (default 32):
+a warm-up run over 1/8 of the shards, then the best of two timed runs,
+with per-operator wall/CPU seconds and output rows from Ray Data's
+structured stats. Then, in a second fresh session, the sf-dir corpus
+derivation and the ``BENCH_QUERIES`` over $GRAFT_SF_DIR (default
+/root/testdata/sf0.1); WLOR_BENCH_QUERIES=skip leaves both out.
 
-  {"metric": "flagship_extract_sec", "value": <sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, "docs_per_sec": ...}
+``python bench.py --checkpointed``: one checkpointed flagship run (one
+streaming execution, per-shard commits) over 20,000 docs in 8 shards.
 
---scaling: runs the same job in two fresh subprocesses at 8 and 32
-CPUs (the sandbox proxy for the N vs 4N cluster-size criterion),
-prints both throughputs + scaling efficiency, and records them in
-BASELINE.md's results section. WLOR_SCALING_WAIT_PROBE=<sec> adds
-prospective probe gating: each trial starts only once the
-effective-core probe clears the gate threshold, so valid trials can
-accumulate across scattered quiet windows on a bursty shared host.
+``python bench.py --scaling``: N-vs-4N throughput scaling on one host,
+hi = the CPUs this process may use, lo = hi // 4 (at least 4). Each leg
+is a fresh interpreter timing one flagship run of SCALING_DOCS docs,
+with the same media-pool fraction at both widths. The lo leg is pinned
+to its cores and pure-ALU spinners keep the other cores busy, so both
+legs run at the all-core clock, as every node of an N- or 4N-node
+cluster would. One warm-up leg per width is discarded, then lo and hi
+legs alternate. A trial is valid when each delivered-cores probe around
+it (before, between and after its legs) reads >= PROBE_MIN_FRAC * hi;
+efficiency = (T_lo / T_hi) / (hi / lo) over the valid trials' medians.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
+from statistics import median
 
 REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)
 
-BENCH_DOCS = int(os.environ.get("WLOR_BENCH_DOCS", "150000"))
-CORPUS_DIR = f"/tmp/wlor_bench_corpus_{BENCH_DOCS}"
-
-_DUR_UNIT = {"us": 1e-6, "ms": 1e-3, "s": 1.0, "m": 60.0}
-
-
-def _parse_stage_stats(stats: str) -> dict:
-    """Per-operator compute totals out of ``Dataset.stats()`` text:
-    {operator: {wall_total_s, cpu_total_s, output_rows}}. This is the
-    bench's self-attribution artifact (round-3 verdict #1): a
-    wall-clock delta between rounds splits into engine-compute
-    (these totals moved) vs host-contention (totals flat, wall moved)
-    without trusting canaries, which sustained co-tenant load can
-    blind (BASELINE.md Run C/D)."""
-    import re
-    out: dict = {}
-    cur = None
-    for raw in stats.splitlines():
-        m = re.match(r"Operator (\d+) (\S.*?): ", raw)
-        if m:
-            # task-pool ops report "N tasks executed"; all-to-all ops
-            # (Sort, shuffles) use a different header tail and nest
-            # tab-indented map/reduce sub-stage blocks — capture both
-            # so the shuffle's compute is attributed too
-            # keyed by index AND name: two same-named operators (e.g.
-            # two MapBatches(<lambda>) stages) must not silently merge
-            cur = f"op{m.group(1)} {m.group(2)}"[:120]
-            out.setdefault(cur, {})
-            # full _DUR_UNIT table: a multi-minute operator header
-            # reports "in 2.3m" and must not lose its duration
-            d = re.search(r"in ([\d.]+)(us|ms|s|m)$", raw.rstrip())
-            if d:
-                # operator WALL duration (first block queued -> last
-                # produced): the timeline view that separates ramp /
-                # barrier time from per-task compute
-                out[cur]["duration_s"] = round(
-                    float(d.group(1)) * _DUR_UNIT[d.group(2)], 2)
-            continue
-        if cur is None:
-            continue
-        line = raw.strip()
-        m = re.match(
-            r"\* Remote (wall|cpu) time: .*?([\d.]+)(us|ms|s|m) total", line)
-        if m:
-            kind, val, unit = m.groups()
-            key = f"{kind}_total_s"
-            # SUM across an all-to-all's sub-stage blocks
-            out[cur][key] = out[cur].get(key, 0.0) \
-                + float(val) * _DUR_UNIT[unit]
-            continue
-        m = re.match(
-            r"\* Output num rows per block: .*?(\d+) total", line)
-        if m:
-            # last sub-stage's output is the operator's output
-            out[cur]["output_rows"] = int(m.group(1))
-    return {k: {kk: (round(vv, 2) if isinstance(vv, float) else vv)
-                for kk, vv in v.items()}
-            for k, v in out.items() if v}
 BENCH_QUERIES = [
     "q1_pricing_summary", "q3_shipping_priority", "q5_region_revenue",
     "events_hourly", "events_sessionize", "doc_stats", "dedup_exact",
     "minhash_lsh_pairs", "knn_cosine_topk",
 ]
 
+CKPT_DOCS = 20_000
+CKPT_SHARDS = 8
 
-def run_bench() -> dict:
+# the settings of the criterion-grade runs in BASELINE.md (8v32 at
+# 600k docs: 0.81; 4v16: 0.955)
+SCALING_DOCS = 600_000
+SCALING_WARMUP_DOCS = 40_000
+SCALING_TRIALS = 5
+SCALING_MAX_ATTEMPTS = 2 * SCALING_TRIALS
+SCALING_POOL_FRACTION = 0.75
+PROBE_MIN_FRAC = 0.85
+
+# one scaling leg: python -c _LEG <repo> <cpus> <docs>
+_LEG = ("import json, sys; sys.path.insert(0, sys.argv[1]); import bench; "
+        "print(json.dumps(bench.run_flagship(*map(int, sys.argv[2:]), "
+        "runs=1, pool_fraction=bench.SCALING_POOL_FRACTION)))")
+_SPINNER = "x = 0\nwhile True:\n    for i in range(100000): x += i * i\n"
+
+
+def _init_ray(num_cpus: int):
     import logging
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     import ray
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=num_cpus,
-                 include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
+    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    return ray
 
+
+def stage_stats(ds) -> dict:
+    """{"op<i> <name>": {wall_total_s, cpu_total_s, output_rows}} from
+    Ray Data's structured stats, parents first (a written Dataset keeps
+    them on ``_write_ds``); the index keeps same-named operators apart."""
+    if getattr(ds, "_write_ds", None) is not None:
+        ds = ds._write_ds
+
+    def walk(summary):
+        for parent in summary.parents:
+            yield from walk(parent)
+        yield from summary.operators_stats
+
+    return {f"op{i} {op.operator_name}": {
+                "wall_total_s": round((op.wall_time or {}).get("sum", 0.0), 2),
+                "cpu_total_s": round((op.cpu_time or {}).get("sum", 0.0), 2),
+                "output_rows": int((op.output_num_rows or {}).get("sum", 0))}
+            for i, op in enumerate(walk(ds._get_stats_summary()))}
+
+
+def run_flagship(num_cpus: int, docs: int, runs: int = 2,
+                 pool_fraction: float = None) -> dict:
+    """The best of ``runs`` timed flagship runs in a fresh Ray session.
+    The media pool is ``num_cpus - 2`` actors, or ``pool_fraction`` of
+    the CPUs (the scaling legs: the same fraction at both widths), and
+    leaves one CPU for the read stage, which a full pool starves."""
+    if num_cpus < 2:
+        raise SystemExit("bench needs num_cpus >= 2: a pool and a read slot")
+    ray = _init_ray(num_cpus)
     from wine_label_ocr_ray.config import PipelineConfig
     from wine_label_ocr_ray.pipelines.extract import build_extract_pipeline
-    from wine_label_ocr_ray.pipelines.queries import QUERIES
     from wine_label_ocr_ray.synth import generate_corpus
 
-    # corpus generation is setup, not measured (cached across runs)
-    generate_corpus(CORPUS_DIR, num_docs=BENCH_DOCS, seed=42, use_ray=True)
-
-    # measured: the sf-dir corpus DERIVATION (the fan-out that fronts
-    # flagship_extract in the driver's correctness runs) — fresh every
-    # bench so the recorded number tracks the Ray-parallel deriver
-    # (VERDICT r4 item 8), not a cache hit. Skipped alongside queries:
-    # scaling legs and canaries (WLOR_BENCH_QUERIES=skip) must stay
-    # time-adjacent with nothing but the flagship in them.
-    corpus_derive_sec = None
-    if os.environ.get("WLOR_BENCH_QUERIES") != "skip":
-        import shutil as _sh
-        from wine_label_ocr_ray.synth import derive_corpus_from_documents
-        _derive_dir = "/tmp/wlor_bench_derive"
-        _sh.rmtree(_derive_dir, ignore_errors=True)
-        _t0 = time.time()
-        derive_corpus_from_documents(
-            os.path.join(sf_dir, "documents.parquet"), _derive_dir, seed=42)
-        corpus_derive_sec = round(time.time() - _t0, 3)
-        _sh.rmtree(_derive_dir, ignore_errors=True)
-
-    # Plain bench: max-throughput pool (num_cpus-2). Scaling sets
-    # WLOR_POOL_FRACTION=0.75 so BOTH levels get the SAME pool
-    # fraction — an absolute rule like num_cpus-2 gives the N and 4N
-    # legs different fractions (e.g. 2-of-4 vs 14-of-16 = a 7x actor
-    # ratio) and fabricates superlinear "efficiency".
-    frac = os.environ.get("WLOR_POOL_FRACTION")
-    pool = max(2, int(num_cpus * float(frac))) if frac \
+    # corpus generation is setup, cached across runs
+    corpus = f"/tmp/wlor_bench_corpus_{docs}"
+    generate_corpus(corpus, num_docs=docs, seed=42, use_ray=True)
+    pool = max(2, int(num_cpus * pool_fraction)) if pool_fraction \
         else max(2, num_cpus - 2)
-    # leave one CPU for the read stage: a pool holding every CPU
-    # deadlocks the stream (read task unschedulable behind the actors)
-    if num_cpus < 2:
-        raise SystemExit("bench needs num_cpus >= 2 (a pool plus a "
-                         "schedulable read slot)")
-    capped = min(pool, num_cpus - 1)
-    if frac and capped != pool:
-        # the equal-pool-fraction invariant between scaling legs only
-        # breaks at widths <= 3; say so rather than silently record a
-        # skewed ratio (the JSON also carries media_pool per leg)
-        print(f"[bench] WARNING: pool fraction {frac} at num_cpus="
-              f"{num_cpus} capped from {pool} to {capped} actors — "
-              f"the scaling legs' pool fractions diverge at this width",
-              file=sys.stderr, flush=True)
-    pool = capped
+    pool = min(pool, num_cpus - 1)
     cfg = PipelineConfig(override_num_blocks=max(16, 4 * num_cpus),
                          media_concurrency=pool)
 
-    # warm-up: (a) page-cache pre-read of every corpus byte (cheap
-    # sequential IO; a cold read mid-timed-run costs tens of seconds),
-    # (b) a pipeline run over 1/8 of the shards to spawn worker/actor
-    # processes and fault in plasma. WLOR_BENCH_WARMUP=full restores
-    # the round-1 full-corpus warm-up run.
-    import glob
-    import shutil
-
-    for f in glob.glob(os.path.join(CORPUS_DIR, "*", "*.parquet")):
+    # warm-up: read every corpus byte once, then run over 1/8 of the
+    # shards to start the worker and actor processes
+    for f in glob.glob(os.path.join(corpus, "*", "*.parquet")):
         with open(f, "rb") as fh:
             while fh.read(1 << 24):
                 pass
     out_dir = f"/dev/shm/wlor_bench_out_{num_cpus}"
     shutil.rmtree(out_dir, ignore_errors=True)
-    shards = sorted(glob.glob(os.path.join(CORPUS_DIR, "documents",
-                                           "*.parquet")))
-    warm_files = None if os.environ.get("WLOR_BENCH_WARMUP") == "full" \
-        else shards[:max(1, len(shards) // 8)]
-    build_extract_pipeline(CORPUS_DIR, cfg,
-                           doc_files=warm_files).write_parquet(out_dir)
+    shards = sorted(glob.glob(os.path.join(corpus, "documents", "*.parquet")))
+    build_extract_pipeline(corpus, cfg, doc_files=shards[:max(
+        1, len(shards) // 8)]).write_parquet(out_dir)
 
-    # best-of-N timed runs (default 2): single runs swing ~25% with
-    # page-cache / writeback state; the minimum is the steady-state
-    # number. --scaling uses N=1 and takes medians across interleaved
-    # trials instead.
-    flagship_sec = float("inf")
-    stage_stats: dict = {}
-    for _ in range(int(os.environ.get("WLOR_BENCH_RUNS", "2"))):
+    # a single run swings ~25% with page-cache and writeback state;
+    # the best of the runs is the steady-state number
+    best, stats = float("inf"), {}
+    for _ in range(runs):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.time()
-        ds = build_extract_pipeline(CORPUS_DIR, cfg)
+        ds = build_extract_pipeline(corpus, cfg)
         ds.write_parquet(out_dir)
         el = time.time() - t0
-        if el < flagship_sec:
-            flagship_sec = el
-            # compute attribution for the BEST run (the recorded one)
-            stage_stats = _parse_stage_stats(ds.stats())
-
-    # queries run in a FRESH Ray session: a session that has pushed
-    # ~GBs through plasma serves later shuffles noticeably slower
+        if el < best:
+            best, stats = el, stage_stats(ds)
+    shutil.rmtree(out_dir, ignore_errors=True)
     ray.shutdown()
-    ray.init(address="local", num_cpus=num_cpus,
-             include_dashboard=False, logging_level="ERROR")
-    DataContext.get_current().enable_progress_bars = False
-    qtimes = {}
-    if os.environ.get("WLOR_BENCH_QUERIES") != "skip":
-        # spawn the worker pool before timing: otherwise the FIRST
-        # query (q1) silently absorbs ~4 s of process ramp that is
-        # session overhead, not query compute
-        import ray.data as rd
-        rd.range(num_cpus * 4, override_num_blocks=num_cpus) \
-            .map_batches(lambda b: b).materialize()
-        # ... and the hash-shuffle aggregator path (Dataset.join spawns
-        # a separate actor class the task-pool warmup doesn't touch;
-        # measured ~1-2 s of first-join ramp otherwise billed to q3)
-        rd.range(64, override_num_blocks=2) \
-            .join(rd.range(64, override_num_blocks=2), join_type="inner",
-                  num_partitions=16, on=("id",)).materialize()
-        for name in BENCH_QUERIES:
-            t0 = time.time()
-            out = QUERIES[name](sf_dir)
-            if hasattr(out, "to_pandas"):
-                out = out.to_pandas()
-            qtimes[name] = round(time.time() - t0, 3)
-
-    # headline attribution numbers: total engine compute of the best
-    # run, and the media pool's unit cost (its cpu seconds over its
-    # output spans) — comparable round over round independent of host
-    # contention (~1.1 ms/payload is the round-2 profile)
-    media_ops = [v for k, v in stage_stats.items() if "MediaExtract" in k]
-    media_unit_ms = None
-    if media_ops and BENCH_DOCS:
-        # per-DOC unit cost (output rows include text spans, so the
-        # per-row number would understate the media engines' share);
-        # SUM across every MediaExtract-containing operator in case a
-        # Ray version change splits the fused stage
-        media_unit_ms = round(
-            1e3 * sum(op.get("cpu_total_s", 0.0)
-                      for op in media_ops) / BENCH_DOCS, 3)
-    result = {
+    media_cpu = sum(v["cpu_total_s"] for k, v in stats.items()
+                    if "MediaExtract" in k)
+    return {
         "metric": "flagship_extract_sec",
-        "value": round(flagship_sec, 3),
+        "value": round(best, 3),
         "unit": "sec",
-        "queries": qtimes,
-        "sf": sf_dir,
+        "queries": {},
         "num_cpus": num_cpus,
-        "bench_docs": BENCH_DOCS,
-        "docs_per_sec": round(BENCH_DOCS / flagship_sec, 1),
-        "stage_stats": stage_stats,
+        "bench_docs": docs,
+        "docs_per_sec": round(docs / best, 1),
+        "stage_stats": stats,
         "stage_cpu_total_s": round(sum(
-            v.get("cpu_total_s", 0.0) for v in stage_stats.values()), 2),
+            v["cpu_total_s"] for v in stats.values()), 2),
         "stage_wall_total_s": round(sum(
-            v.get("wall_total_s", 0.0) for v in stage_stats.values()), 2),
-        "media_cpu_ms_per_doc": media_unit_ms,
+            v["wall_total_s"] for v in stats.values()), 2),
+        # per doc, not per output row: the media engines' unit cost
+        "media_cpu_ms_per_doc": round(1e3 * media_cpu / docs, 3),
         "media_pool": pool,
-        "corpus_derive_sec": corpus_derive_sec,
     }
+
+
+def run_queries(num_cpus: int, sf_dir: str) -> dict:
+    """The sf-dir corpus derivation (fresh, not a cache hit) and the
+    ``BENCH_QUERIES`` timings, in a fresh Ray session: one that has
+    pushed GBs through plasma serves later shuffles slower."""
+    ray = _init_ray(num_cpus)
+    import ray.data as rd
+    from wine_label_ocr_ray.pipelines.queries import QUERIES
+    from wine_label_ocr_ray.synth import derive_corpus_from_documents
+
+    derive_dir = "/tmp/wlor_bench_derive"
+    shutil.rmtree(derive_dir, ignore_errors=True)
+    t0 = time.time()
+    derive_corpus_from_documents(
+        os.path.join(sf_dir, "documents.parquet"), derive_dir, seed=42)
+    derive_sec = round(time.time() - t0, 3)
+    shutil.rmtree(derive_dir, ignore_errors=True)
+
+    # start the task workers and the join's aggregator actors before
+    # timing, or the first query and the first join absorb the ramp
+    rd.range(num_cpus * 4, override_num_blocks=num_cpus) \
+        .map_batches(lambda b: b).materialize()
+    rd.range(64, override_num_blocks=2) \
+        .join(rd.range(64, override_num_blocks=2), join_type="inner",
+              num_partitions=16, on=("id",)).materialize()
+    qtimes = {}
+    for name in BENCH_QUERIES:
+        t0 = time.time()
+        out = QUERIES[name](sf_dir)
+        if hasattr(out, "to_pandas"):
+            out.to_pandas()
+        qtimes[name] = round(time.time() - t0, 3)
     ray.shutdown()
+    return {"queries": qtimes, "corpus_derive_sec": derive_sec}
+
+
+def run_bench() -> dict:
+    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
+    result = run_flagship(num_cpus,
+                          int(os.environ.get("WLOR_BENCH_DOCS", "150000")))
+    result.update(sf=sf_dir, corpus_derive_sec=None)
+    if os.environ.get("WLOR_BENCH_QUERIES") != "skip":
+        result.update(run_queries(num_cpus, sf_dir))
     return result
-
-
-def run_canary() -> float:
-    """Small fixed control job (20k-doc flagship, 32 cpus, one timed
-    run) measuring the machine's CURRENT effective speed. This sandbox
-    is shared: cross-tenant contention swings unchanged-code wall
-    clock up to 2.4x in bursts, so every recorded measurement carries
-    an adjacent canary to make regressions attributable (round-2
-    verdict: the r2 flagship bench regression could not be cleanly
-    attributed because no canary was recorded alongside it)."""
-    env = dict(os.environ, RAY_GRAFT_CPUS="32",
-               WLOR_BENCH_DOCS="20000", WLOR_BENCH_RUNS="1",
-               WLOR_BENCH_QUERIES="skip", WLOR_BENCH_CANARY="0")
-    out = subprocess.run([sys.executable, os.path.join(REPO, "bench.py")],
-                         env=env, capture_output=True, text=True,
-                         check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])["value"]
-
-
-def run_scaling() -> dict:
-    """Interleaved multi-trial scaling measurement: the single-run
-    efficiency swings ~+-20% with page-cache/writeback state (round-1
-    samples ranged 0.57-1.06), so each CPU level runs
-    $WLOR_SCALING_TRIALS times (default 3), ALTERNATING levels so
-    drifting machine state hits both equally, and the reported
-    efficiency is computed from the per-level MEDIANS; all samples are
-    recorded in BASELINE.md."""
-    if (os.environ.get("WLOR_SCALING_PIN") == "1"
-            and os.environ.get("WLOR_SCALING_EQUALIZE") == "1"):
-        # mutually exclusive: PIN stride-samples the core set (lo ->
-        # every 4th core) while EQUALIZE spawns spinners on cores
-        # [ncpu..total) — combined, the spinners land on 6 of the 8
-        # stride-pinned measured cores and silently corrupt the leg
-        raise SystemExit("WLOR_SCALING_PIN and WLOR_SCALING_EQUALIZE "
-                         "are mutually exclusive (the equalize spinners "
-                         "would overlap the stride-pinned core set)")
-
-    def run(ncpu: int, docs: str = None) -> dict:
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
-                   # steady-state corpus: 2x the flagship bench size so
-                   # scale-independent session overhead (~10-14 s:
-                   # actor ramp, sort barrier, write finalize) doesn't
-                   # dominate the 32-cpu leg — the criterion measures
-                   # THROUGHPUT scaling, not session startup
-                   WLOR_BENCH_DOCS=docs or os.environ.get(
-                       "WLOR_SCALING_DOCS", "300000"),
-                   # one timed run per invocation; robustness comes
-                   # from the interleaved-trial medians. Query timings
-                   # are benched separately (plain bench.py) — skipping
-                   # them here keeps the two legs adjacent in time,
-                   # which is what defends the RATIO against the
-                   # sandbox's bursty cross-tenant contention
-                   WLOR_BENCH_QUERIES="skip",
-                   WLOR_BENCH_RUNS="1",
-                   # identical pool FRACTION at both levels (see
-                   # run_bench) so the actor ratio is exactly 4x
-                   WLOR_POOL_FRACTION="0.75",
-                   # the scaling harness gates trials with its OWN
-                   # adjacent canary; without this the plain-bench
-                   # default would run two more 20k canaries inside
-                   # every leg AND break the legs' time-adjacency
-                   WLOR_BENCH_CANARY="0")
-        cmd = [sys.executable, os.path.join(REPO, "bench.py")]
-        total = os.cpu_count() or 32
-        equalize = (os.environ.get("WLOR_SCALING_EQUALIZE") == "1"
-                    and ncpu < total)
-        if os.environ.get("WLOR_SCALING_PIN") == "1":
-            # contention IMMUNIZATION (r4 verdict #1): pin each leg to
-            # a fixed stride-sampled core set (lo -> every 4th core,
-            # hi -> all). An UNPINNED lo leg floats onto the quietest
-            # cores and looks too good, deflating measured efficiency;
-            # pinning makes both legs sample the co-tenant load at the
-            # same per-core average, so the RATIO (the criterion)
-            # survives load the probe gate would reject. Children
-            # (Ray workers) inherit the affinity mask.
-            stride = max(1, total // ncpu)
-            cores = ",".join(str(c) for c in range(0, total, stride)[:ncpu])
-            cmd = ["taskset", "-c", cores] + cmd
-        elif equalize:
-            # frequency EQUALIZATION (round-5): the criterion emulates
-            # N-node vs 4N-node CLUSTERS, where every node runs fully
-            # loaded in BOTH legs, so per-core clock is identical
-            # across legs. On one host the bare lo leg instead leaves
-            # 24 of 32 cores idle and rides the higher few-core turbo
-            # clock (measured on this VM: sustained per-core speed
-            # 0.909x solo at 8-wide vs 0.679x at 32-wide), deflating
-            # the measured ratio by up to ~25% with ZERO engine
-            # inefficiency. Fix: pin the lo leg to cores [0..ncpu) and
-            # keep the remaining cores busy with pure-ALU spinners
-            # (negligible memory traffic) so the chip sits at all-core
-            # clock in both legs — the faithful single-host emulation
-            # of the cluster criterion. The hi leg's own bandwidth /
-            # shuffle contention is NOT masked: it still runs the real
-            # workload on all cores.
-            cmd = ["taskset", "-c",
-                   ",".join(str(c) for c in range(ncpu))] + cmd
-        spinners = []
-        try:
-            # spawned INSIDE the try: a mid-loop spawn failure (taskset
-            # missing, process ulimit) must still kill the spinners
-            # already running, or they burn whole cores forever
-            if equalize:
-                spin_src = ("import time\nx=0\n"
-                            "while True:\n"
-                            "    for i in range(100000): x+=i*i\n")
-                for c in range(ncpu, total):
-                    spinners.append(subprocess.Popen(
-                        ["taskset", "-c", str(c), sys.executable, "-c",
-                         spin_src],
-                        stdout=subprocess.DEVNULL,
-                        stderr=subprocess.DEVNULL))
-            out = subprocess.run(cmd,
-                                 env=env, capture_output=True, text=True,
-                                 check=True).stdout
-        finally:
-            for s in spinners:
-                s.kill()
-            for s in spinners:
-                s.wait()
-        return json.loads(out.strip().splitlines()[-1])
-
-    canary = run_canary  # gate trials RETROSPECTIVELY on an adjacent
-    # canary — an independent measurement of the environment, never of
-    # the result — so a noisy-window trial is excluded with evidence
-
-    trials = int(os.environ.get("WLOR_SCALING_TRIALS", "3"))
-    # round-3 verdict #5: the ~15 s canary is blind to CONSTANT
-    # co-tenant load that also slowed the canary's own quiet baseline
-    # (Run C/D). A leg-adjacent effective-core probe measures host
-    # capacity directly: each trial is bracketed by quick_probe(hi)
-    # before the lo leg, between the legs, and after the hi leg, and
-    # the valid-trial gate ALSO requires the worst probe to show at
-    # least PROBE_MIN_FRAC * hi effective cores — a constant-load
-    # window is now excluded by evidence, not narrated.
-    probe_frac = float(os.environ.get("WLOR_SCALING_PROBE_MIN_FRAC",
-                                      "0.85"))
-    # N vs 4N levels: default 8 vs 32 — the BASELINE.json criterion's
-    # defined 4x ratio at full machine width. On this SHARED 32-core
-    # sandbox the 32-cpu leg fights bursty noisy-neighbor load for the
-    # last cores (observed up to ~1.4x slowdown on unchanged code);
-    # that is what the canary gate + interleaved trials are for.
-    # Override with WLOR_SCALING_LO / WLOR_SCALING_HI for diagnostic
-    # runs at other ratios (any such run is labeled with its TRUE
-    # ratio in BASELINE.md, see _record_baseline).
-    lo = int(os.environ.get("WLOR_SCALING_LO", "8"))
-    hi = int(os.environ.get("WLOR_SCALING_HI", "32"))
-    use_canary = os.environ.get("WLOR_SCALING_CANARY", "1") != "0"
-    max_attempts = int(os.environ.get("WLOR_SCALING_MAX_ATTEMPTS",
-                                      str(2 * trials)))
-    # Prospective probe gating (WLOR_SCALING_WAIT_PROBE=<seconds>):
-    # on a host whose quiet windows are shorter than a full
-    # trials*~(lo+hi) run, don't BEGIN a trial in a window the
-    # retrospective gate would flag anyway — poll the effective-core
-    # probe every WLOR_SCALING_WAIT_POLL s (default 120) and start the
-    # next attempt only when it clears probe_frac*hi, until the total
-    # wait budget is spent. Valid trials then accumulate across
-    # SCATTERED quiet windows instead of requiring one contiguous one.
-    # The retrospective canary+probe gate is unchanged — this mode
-    # only chooses WHEN to spend an attempt, never how it is judged.
-    wait_budget = float(os.environ.get("WLOR_SCALING_WAIT_PROBE", "0"))
-    wait_poll = float(os.environ.get("WLOR_SCALING_WAIT_POLL", "120"))
-
-    def valid_idx(canaries, probes):
-        """Trial indices that pass BOTH environment gates: (a) the
-        bracketing canaries (before AND after the trial's two legs)
-        both within 25% of the quietest canary observed — gating on
-        the worse of the pair closes the blind spot Run C (BASELINE.md)
-        exposed: co-tenant load that returns between a quiet pre-gate
-        and the multi-minute legs; and (b) every leg-adjacent
-        DELIVERED-core probe showing >= probe_frac * hi cores — which
-        catches CONSTANT load that depresses canary and legs alike.
-        Delivered (scheduled cpu-sec/wall-sec), not throughput: the
-        old throughput probe read ~16-22/32 on a PROVABLY idle host
-        (all-core DVFS), making the gate unpassable — see
-        quick_probe's docstring."""
-        if not canaries:
-            return []
-        flat = [c for pair in canaries for c in pair]
-        best = min(flat)
-        ok = [i for i, pair in enumerate(canaries)
-              if max(pair) <= 1.25 * best]
-        if probes:
-            ok = [i for i in ok
-                  if min(d["delivered_cores"]
-                         for d in probes[i] if d) >= probe_frac * hi]
-        return ok
-
-    # Discarded warmup pair (WLOR_SCALING_WARMUP=<docs>, default 0 =
-    # off): one small run at each width before trial 0, timed by
-    # nobody. The first equalized 8v32 run showed the criterion's
-    # remaining variance lives in COLD-START asymmetry, not the hosts:
-    # its first hi leg paid the page-cache/actor-image warmup
-    # (79.8 s) that later hi legs did not (57.1 s), dragging one
-    # trial's efficiency to 0.614 while the warm trial read 0.976.
-    # A cluster-criterion throughput measurement is steady-state by
-    # definition; warming both widths once keeps every TIMED leg
-    # steady-state without touching the gate.
-    warmup_docs = int(os.environ.get("WLOR_SCALING_WARMUP", "0"))
-    if warmup_docs > 0:
-        for w in (lo, hi):
-            run(w, docs=str(warmup_docs))
-
-    # anchor the wait-probe budget AFTER the warmup legs: a multi-
-    # minute warmup must not silently consume the polling budget
-    wait_deadline = (time.time() + wait_budget) if wait_budget > 0 else None
-
-    runs = {lo: [], hi: []}
-    canaries = []
-    probes = []
-    prev_post = None
-    prev_post_probe = None
-    windows_waited = 0
-    for attempt in range(max_attempts):
-        # prospective gating is independent of the retrospective canary
-        # gate: WLOR_SCALING_WAIT_PROBE works with WLOR_SCALING_CANARY=0
-        # (without canaries, prev_post_probe is never carried over, so
-        # each attempt simply starts with a fresh capacity_probe)
-        if wait_deadline is not None:
-            p = (prev_post_probe if prev_post_probe is not None
-                 else capacity_probe(hi))
-            waited = False
-            while (p["delivered_cores"] < probe_frac * hi
-                   and time.time() < wait_deadline):
-                waited = True
-                print(f"[wait-probe] attempt {attempt}: "
-                      f"{p['delivered_cores']} < "
-                      f"{probe_frac * hi:.1f} delivered cores; polling "
-                      f"again in {wait_poll:.0f}s "
-                      f"({wait_deadline - time.time():.0f}s budget left)",
-                      file=sys.stderr, flush=True)
-                time.sleep(min(wait_poll,
-                               max(1.0, wait_deadline - time.time())))
-                p = capacity_probe(hi)
-            if p["delivered_cores"] < probe_frac * hi:
-                break  # wait budget spent without a quiet window
-            if waited:
-                windows_waited += 1
-                # the pre-wait canary is stale evidence for THIS
-                # trial's window: force a fresh pre-canary below and
-                # carry the passing probe as the trial's pre-probe
-                prev_post = None
-            prev_post_probe = p
-        # nothing executes between attempt i's post-canary and attempt
-        # i+1's first leg, so the post doubles as the next pre —
-        # identical bracketing semantics, one fewer ~15 s control run
-        pre = (prev_post if prev_post is not None
-               else round(canary(), 3)) if use_canary else None
-        pre_probe = (prev_post_probe if prev_post_probe is not None
-                     else capacity_probe(hi)) if use_canary else None
-        runs[lo].append(run(lo))
-        mid_probe = capacity_probe(hi) if use_canary else None
-        runs[hi].append(run(hi))
-        if use_canary:
-            prev_post_probe = capacity_probe(hi)
-            probes.append((pre_probe, mid_probe, prev_post_probe))
-            prev_post = round(canary(), 3)
-            canaries.append((pre, prev_post))
-        else:
-            # no retrospective bracketing: a pre-leg probe is stale
-            # evidence by the next attempt — force a fresh one
-            prev_post_probe = None
-        done = len(valid_idx(canaries, probes)) if use_canary \
-            else len(runs[lo])
-        if done >= trials:
-            break
-
-    def median(xs):
-        xs = sorted(xs)
-        n = len(xs)
-        return xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2
-
-    if not runs[lo]:
-        # wait-probe mode spent its entire budget without one quiet
-        # window: say so rather than crash or fabricate a ratio
-        return {"metric": "scaling_efficiency", "value": None,
-                "unit": "ratio", "error": "no_quiet_window",
-                "cpus_lo": lo, "cpus_hi": hi,
-                "wait_budget_sec": wait_budget}
-    secs_lo_all = [r["value"] for r in runs[lo]]
-    secs_hi_all = [r["value"] for r in runs[hi]]
-    vidx = valid_idx(canaries, probes) if use_canary \
-        else list(range(len(secs_lo_all)))
-    all_trials_invalid = False
-    if not vidx:
-        # every attempt failed the environment gate: report medians
-        # over ALL samples, flagged invalid in the JSON AND the
-        # BASELINE note, rather than crash or masquerade as valid
-        all_trials_invalid = True
-        vidx = list(range(len(secs_lo_all)))
-    secs_lo = [secs_lo_all[i] for i in vidx]
-    secs_hi = [secs_hi_all[i] for i in vidx]
-    t_lo, t_hi = median(secs_lo), median(secs_hi)
-    ratio = hi / lo
-    eff = (t_lo / t_hi) / ratio
-    bench_docs = runs[lo][0]["bench_docs"]
-    result = {
-        "metric": "scaling_efficiency",
-        "value": round(eff, 3),
-        "unit": "ratio",
-        "trials": len(vidx),
-        "attempts": len(secs_lo_all),
-        "cpus_lo": lo, "cpus_hi": hi,
-        "sec_lo": t_lo, "sec_hi": t_hi,
-        "sec_lo_samples": secs_lo_all, "sec_hi_samples": secs_hi_all,
-        "canary_samples": canaries,
-        "probe_samples": probes,
-        "probe_min_frac": probe_frac,
-        "valid_trials": vidx,
-        "all_trials_invalid": all_trials_invalid,
-        "eff_samples": [round((a / b) / ratio, 3)
-                        for a, b in zip(secs_lo_all, secs_hi_all)],
-        # drift-robust estimator: each trial's lo leg is paired with
-        # its own adjacent hi leg before taking the median, so
-        # chip-frequency wander BETWEEN trials cancels instead of
-        # leaking into the ratio the way cross-trial leg-medians let
-        # it (see the 07:55-09:00 round-5 forensic in BASELINE.md);
-        # null when no trial passed the gate: there is no valid trial
-        # to take the median over
-        "value_per_trial_median": None if all_trials_invalid else round(
-            median([(secs_lo_all[i] / secs_hi_all[i]) / ratio
-                    for i in vidx]), 3),
-        "docs_per_sec_lo": round(bench_docs / t_lo, 1),
-        "docs_per_sec_hi": round(bench_docs / t_hi, 1),
-        "bench_docs": bench_docs,
-        "queries_lo": runs[lo][-1]["queries"],
-        "queries_hi": runs[hi][-1]["queries"],
-        # per-leg actor-pool sizes: equal FRACTIONS is the invariant
-        # the ratio rests on; at widths <= 3 the leave-a-read-slot cap
-        # can bend it, and this makes that visible in the artifact
-        "media_pool_lo": runs[lo][-1].get("media_pool"),
-        "media_pool_hi": runs[hi][-1].get("media_pool"),
-        "pinned": os.environ.get("WLOR_SCALING_PIN") == "1",
-        "equalized": os.environ.get("WLOR_SCALING_EQUALIZE") == "1",
-        "warmup_docs": warmup_docs,
-        "wait_probe_sec": wait_budget,
-        "windows_waited": windows_waited,
-        # the contextual throughput_cores figures in probe_samples are
-        # normalized by this once-per-process solo calibration; record
-        # it so a calibration taken in a loud/throttled window (which
-        # OVERSTATES later throughput_cores) is visible in the artifact
-        "probe_solo_iters_per_sec": (round(_SPIN_SOLO_RATE[0])
-                                     if _SPIN_SOLO_RATE else None),
-    }
-    _record_baseline(result)
-    return result
-
-
-def _record_baseline(result: dict) -> None:
-    path = os.path.join(REPO, "BASELINE.md")
-    marker = "## Measured results (bench.py --scaling)"
-    lo, hi = result["cpus_lo"], result["cpus_hi"]
-    # label the run with its TRUE cpu ratio (round-2 verdict: a 2x
-    # diagnostic run must never wear the 4N criterion's label)
-    ratio = hi / lo
-    rlab = f"{ratio:g}N"
-    canary_note = ""
-    if result.get("canary_samples"):
-        if result.get("all_trials_invalid"):
-            canary_note = (
-                f"\nCanary gate: 20k-doc 32-cpu control BRACKETING "
-                f"each trial (before, after); pairs "
-                f"{result['canary_samples']} s — EVERY trial FAILED "
-                f"the environment gate (canary worse-of-pair > 1.25x "
-                f"the quietest, OR a leg-adjacent effective-core "
-                f"probe below threshold — see probe line): the "
-                f"medians above are over all {result['attempts']} "
-                f"gate-FAILED attempts and this run is NOT a valid "
-                f"measurement of the engine.\n")
-        else:
-            canary_note = (
-                f"\nCanary gate: 20k-doc 32-cpu control BRACKETING "
-                f"each trial (before, after); pairs "
-                f"{result['canary_samples']} s — trials "
-                f"{result['valid_trials']} (worse of the pair within "
-                f"25% of the quietest) are the VALID set used for "
-                f"the medians; {result['attempts']} attempts total.\n")
-        if result.get("probe_samples"):
-            canary_note += (
-                f"Per-leg capacity probes ({hi} spinner procs; before "
-                f"lo leg, between legs, after hi leg; each dict = "
-                f"delivered/throughput/steal cores — the gate reads "
-                f"DELIVERED cores, i.e. scheduled cpu-sec per wall-sec, "
-                f"which is contention evidence independent of the "
-                f"chip's all-core frequency curve): "
-                f"{result['probe_samples']} — the gate requires min "
-                f"delivered >= {result['probe_min_frac']} * {hi} "
-                f"= {result['probe_min_frac'] * hi:.1f}, excluding "
-                f"constant-load windows canaries are blind to.\n")
-    pin_note = ""
-    if result.get("pinned"):
-        pin_note = (" — CPU-PINNED legs (taskset stride cores: the "
-                    "contention-immunized mode; both legs sample the "
-                    "co-tenant load at the same per-core average, so "
-                    "the ratio is valid even when the probe gate "
-                    "would flag the window)")
-    elif result.get("equalized"):
-        pin_note = (" — FREQUENCY-EQUALIZED legs (lo leg pinned to "
-                    "its cores with pure-ALU spinners on the rest, so "
-                    "both legs run at the chip's all-core clock — the "
-                    "faithful single-host emulation of the N-node vs "
-                    "4N-node cluster criterion, where every node is "
-                    "fully loaded in both legs)")
-    if result.get("warmup_docs"):
-        pin_note += (f" — steady-state: one discarded "
-                     f"{result['warmup_docs']}-doc warmup leg per "
-                     f"width before trial 0")
-    block = (f"### {lo}v{hi} @{result['bench_docs']} run (appended by bench.py --scaling){pin_note}\n\n"
-             f"| run | config | docs/sec (median) | seconds ({result['bench_docs']} docs, {result['trials']} valid of {result['attempts']} interleaved trials) |\n"
-             f"|---|---|---|---|\n"
-             f"| N | num_cpus={lo} | {result['docs_per_sec_lo']} | median {result['sec_lo']} over valid trials; all samples {result['sec_lo_samples']} |\n"
-             f"| {rlab} | num_cpus={hi} | {result['docs_per_sec_hi']} | median {result['sec_hi']} over valid trials; all samples {result['sec_hi_samples']} |\n"
-             f"| efficiency | (T_{rlab}/T_N)/{ratio:g} | **{result['value']}** (medians over valid trials; per-trial {result['eff_samples']}; drift-robust median of valid per-trial efficiencies **{result.get('value_per_trial_median')}**) | target >= 0.8 |\n"
-             + canary_note)
-    try:
-        try:
-            with open(path) as f:
-                content = f.read()
-        except FileNotFoundError:
-            content = ""
-        # APPEND each run under the marker — never truncate: earlier
-        # recorded runs are part of the audit trail and must survive
-        if marker not in content:
-            content = content.rstrip() + "\n\n" + marker + "\n"
-        with open(path, "w") as f:
-            f.write(content.rstrip() + "\n\n" + block)
-    except OSError:
-        pass
 
 
 def run_checkpointed_bench() -> dict:
-    """--checkpointed: throughput of the CHECKPOINTED flagship path —
-    the shape a real 100-TB run uses (one streaming execution with
-    per-shard atomic commits, resume scan, metrics streaming) — over
-    one corpus, recorded as an artifact (round-3 verdict #10)."""
-    import logging
-    import shutil
-    logging.getLogger("ray.data").setLevel(logging.ERROR)
-    import ray
+    """One checkpointed flagship run: the shape a large run uses (one
+    streaming execution, per-shard atomic commits, resume scan)."""
     num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-    docs = int(os.environ.get("WLOR_CKPT_DOCS", "20000"))
-    shards = int(os.environ.get("WLOR_CKPT_SHARDS", "8"))
-    corpus = f"/tmp/wlor_ckpt_corpus_{docs}_{shards}"
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=num_cpus,
-                 include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-    DataContext.get_current().enable_progress_bars = False
+    ray = _init_ray(num_cpus)
     from wine_label_ocr_ray.config import PipelineConfig
     from wine_label_ocr_ray.stages.checkpoint import run_checkpointed
     from wine_label_ocr_ray.synth import generate_corpus
-    generate_corpus(corpus, num_docs=docs, seed=42, num_shards=shards,
-                    use_ray=True)
+    corpus = f"/tmp/wlor_ckpt_corpus_{CKPT_DOCS}_{CKPT_SHARDS}"
+    generate_corpus(corpus, num_docs=CKPT_DOCS, seed=42,
+                    num_shards=CKPT_SHARDS, use_ray=True)
     cfg = PipelineConfig(override_num_blocks=max(16, 4 * num_cpus),
                          media_concurrency=max(2, num_cpus - 2))
     out_dir = "/dev/shm/wlor_ckpt_out"
@@ -721,155 +229,122 @@ def run_checkpointed_bench() -> dict:
     shutil.rmtree(out_dir, ignore_errors=True)
     ray.shutdown()
     return {"metric": "checkpointed_flagship_sec", "unit": "sec",
-            "docs": docs, "shards": shards, "num_cpus": num_cpus,
-            "sec": round(el, 3), "docs_per_sec": round(docs / el, 1),
+            "docs": CKPT_DOCS, "shards": CKPT_SHARDS, "num_cpus": num_cpus,
+            "sec": round(el, 3), "docs_per_sec": round(CKPT_DOCS / el, 1),
             "commits": res["executed"], "rows": res["metrics"]["rows"]}
 
 
-def quick_probe(procs: int) -> float:
-    """DELIVERED-cores measurement (round-5 instrument fix): the CPU
-    seconds the kernel actually schedules onto `procs` spinner
-    processes per wall second. Rounds 1-4 gated on THROUGHPUT-effective
-    cores (procs * T_single / T_procs), which conflates co-tenant
-    contention with the chip's all-core frequency curve: on this VM a
-    provably idle host (/proc/stat: ~30/32 user cores, ~1.4 cores
-    steal during a sustained 32-wide burn) still reads only ~16-22
-    throughput-cores because per-core speed at 32-wide is ~0.68x the
-    solo turbo clock. That made the 0.85*32=27.2 gate PHYSICALLY
-    unpassable even on a quiet machine — why every round-4/5 scaling
-    attempt was flagged. Delivered cores separates the two: DVFS slows
-    the work per scheduled second but not the scheduling itself, so an
-    idle-but-throttled host reads ~procs while a genuinely contended
-    host reads low (CFS splits: 32 burners vs a 16-thread co-tenant
-    -> ~21 delivered). Run leg-adjacent by --scaling so each recorded
-    trial carries direct evidence of host capacity DURING its window
-    (see valid_idx)."""
-    return capacity_probe(procs)["delivered_cores"]
-
-
-# solo iterations/sec of _spin on a quiet core, lazily calibrated once
-# per process — used only for the contextual throughput figure
-_SPIN_SOLO_RATE: list = []
-
-
-def capacity_probe(procs: int, wall: float = 1.0) -> dict:
-    """Full host-capacity probe (~2-3 s): `procs` spinners each run
-    for `wall` seconds of wall time and report (scheduled cpu seconds,
-    loop iterations). Returns:
-      delivered_cores   — sum(cpu)/wall: cores the scheduler gave us
-                          (contention evidence; DVFS-independent)
-      throughput_cores  — sum(iters)/(wall * solo iters/sec): work-
-                          effective cores (the old metric, kept as
-                          context — its gap vs delivered_cores IS the
-                          all-core frequency curve). The solo rate is
-                          calibrated ONCE per process at the first
-                          call; a calibration taken in a loud or
-                          throttled window overstates later values,
-                          so --scaling records the rate in its JSON
-                          (probe_solo_iters_per_sec). The GATE reads
-                          delivered_cores only and is unaffected.
-      steal_cores       — /proc/stat steal delta across the burn
-                          (hypervisor-level contention evidence)
-    """
+def delivered_cores(procs: int, wall: float = 1.0) -> float:
+    """CPU seconds per wall second the kernel gives ``procs`` ALU
+    spinners: co-tenant load lowers it, the all-core clock does not."""
     import multiprocessing as mp
-    if not _SPIN_SOLO_RATE:
-        _, solo_iters = _spin(wall)
-        _SPIN_SOLO_RATE.append(solo_iters / wall)
-    solo_rate = _SPIN_SOLO_RATE[0]
-
-    def _stat():
-        with open("/proc/stat") as f:
-            v = f.readline().split()
-        return int(v[8])  # steal ticks
-
-    with mp.Pool(procs) as p:
-        s0 = _stat()
-        t0 = time.time()
-        res = p.map(_spin, [wall] * procs)
-        el = max(time.time() - t0, wall)
-        s1 = _stat()
-    cpu = sum(r[0] for r in res)
-    iters = sum(r[1] for r in res)
-    return {
-        "delivered_cores": round(cpu / wall, 1),
-        "throughput_cores": round(iters / (wall * solo_rate), 1),
-        "steal_cores": round((s1 - s0) / 100.0 / el, 1),
-    }
+    with mp.get_context("spawn").Pool(procs) as p:
+        return round(sum(p.map(_spin, [wall] * procs)) / wall, 1)
 
 
-def _spin(wall: float) -> tuple:
-    """Spin pure-ALU for `wall` seconds; return (scheduled cpu seconds,
-    iterations completed). Chunked so the wall check itself is cheap."""
+def _spin(wall: float) -> float:
     t0 = time.time()
     c0 = time.process_time()
     x = 0
-    iters = 0
     while time.time() - t0 < wall:
         for i in range(20000):
             x += i * i
-        iters += 20000
-    return (time.process_time() - c0, iters)
+    return time.process_time() - c0
 
 
-def run_cpu_probe() -> dict:
-    """Pure-CPU host-capacity probe: N processes each burn a fixed
-    Python loop; effective cores = N * T_single / T_N. On this SHARED
-    sandbox the probe documents the physical ceiling of any scaling
-    measurement — e.g. 32 procs achieving ~23 effective cores caps the
-    best possible 8v32 efficiency at (23/8)/4 ~= 0.71 REGARDLESS of
-    engine quality, because the 8-proc leg gets its full 8 cores.
-    Recorded adjacent to every scaling run so the ratio's ceiling is
-    part of the evidence."""
-    import multiprocessing as mp
-    import time as _t
+def run_scaling() -> dict:
+    cores = sorted(os.sched_getaffinity(0))
+    hi = len(cores)
+    lo = hi // 4
+    if lo < 4:
+        raise SystemExit(f"--scaling needs >= 16 usable CPUs, this "
+                         f"process may use {hi}")
 
-    n = 8_000_000
-    t0 = _t.time(); _burn(n); single = _t.time() - t0
-    eff = {}
-    for procs in (4, 8, 16, 24, 32):
-        with mp.Pool(procs) as p:
-            t0 = _t.time()
-            p.map(_burn, [n] * procs)
-            el = _t.time() - t0
-        eff[procs] = round(procs * single / el, 1)
-    return {"metric": "effective_cores", "unit": "cores",
-            "single_sec": round(single, 3), "by_procs": eff}
+    def leg(ncpu: int, docs: int) -> dict:
+        cmd = [sys.executable, "-c", _LEG, REPO, str(ncpu), str(docs)]
+        if ncpu < hi:
+            cmd = ["taskset", "-c", ",".join(map(str, cores[:ncpu]))] + cmd
+        spinners = []
+        try:
+            # spawned inside the try, so a failed spawn still kills
+            # the spinners already running
+            for c in cores[ncpu:]:
+                spinners.append(subprocess.Popen(
+                    ["taskset", "-c", str(c), sys.executable, "-c",
+                     _SPINNER], stdout=subprocess.DEVNULL,
+                    stderr=subprocess.DEVNULL))
+            out = subprocess.run(cmd, capture_output=True, text=True,
+                                 check=True).stdout
+        finally:
+            for s in spinners:
+                s.kill()
+            for s in spinners:
+                s.wait()
+        return json.loads(out.strip().splitlines()[-1])
 
+    def valid(probes):
+        return [i for i, trio in enumerate(probes)
+                if min(trio) >= PROBE_MIN_FRAC * hi]
 
-def _burn(n: int) -> int:
-    x = 0
-    for i in range(n):
-        x += i * i
-    return x
+    for width in (lo, hi):
+        leg(width, SCALING_WARMUP_DOCS)
+    legs = {lo: [], hi: []}
+    probes = []
+    post = None
+    for _ in range(SCALING_MAX_ATTEMPTS):
+        # nothing runs between a trial's last probe and the next
+        # trial's first leg, so the one doubles as the other
+        pre = post if post is not None else delivered_cores(hi)
+        legs[lo].append(leg(lo, SCALING_DOCS))
+        mid = delivered_cores(hi)
+        legs[hi].append(leg(hi, SCALING_DOCS))
+        post = delivered_cores(hi)
+        probes.append((pre, mid, post))
+        if len(valid(probes)) >= SCALING_TRIALS:
+            break
+
+    secs_lo = [r["value"] for r in legs[lo]]
+    secs_hi = [r["value"] for r in legs[hi]]
+    ratio = hi / lo
+    vidx = valid(probes)
+    all_invalid = not vidx
+    if all_invalid:
+        # say so, rather than crash or pass all samples off as valid
+        vidx = list(range(len(secs_lo)))
+    t_lo = median([secs_lo[i] for i in vidx])
+    t_hi = median([secs_hi[i] for i in vidx])
+    return {
+        "metric": "scaling_efficiency",
+        "value": round((t_lo / t_hi) / ratio, 3),
+        "unit": "ratio",
+        "trials": len(vidx),
+        "attempts": len(secs_lo),
+        "cpus_lo": lo, "cpus_hi": hi,
+        "sec_lo": t_lo, "sec_hi": t_hi,
+        "sec_lo_samples": secs_lo, "sec_hi_samples": secs_hi,
+        "probe_samples": probes,
+        "probe_min_frac": PROBE_MIN_FRAC,
+        "valid_trials": vidx,
+        "all_trials_invalid": all_invalid,
+        "eff_samples": [round((a / b) / ratio, 3)
+                        for a, b in zip(secs_lo, secs_hi)],
+        # each lo leg over its own adjacent hi leg: clock drift
+        # between trials cancels
+        "value_per_trial_median": None if all_invalid else round(median(
+            [(secs_lo[i] / secs_hi[i]) / ratio for i in vidx]), 3),
+        "docs_per_sec_lo": round(SCALING_DOCS / t_lo, 1),
+        "docs_per_sec_hi": round(SCALING_DOCS / t_hi, 1),
+        "bench_docs": SCALING_DOCS,
+        "warmup_docs": SCALING_WARMUP_DOCS,
+        "media_pool_lo": legs[lo][-1].get("media_pool"),
+        "media_pool_hi": legs[hi][-1].get("media_pool"),
+    }
 
 
 if __name__ == "__main__":
-    if "--cpu-probe" in sys.argv:
-        print(json.dumps(run_cpu_probe()))
-    elif "--checkpointed" in sys.argv:
+    if "--checkpointed" in sys.argv:
         print(json.dumps(run_checkpointed_bench()))
     elif "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
     else:
-        # plain bench is canary-stamped (before AND after the timed
-        # runs) so a regression vs a prior round is attributable to
-        # code vs host contention; WLOR_BENCH_CANARY=0 disables (and
-        # marks the canary subprocesses themselves)
-        stamp = os.environ.get("WLOR_BENCH_CANARY", "1") != "0"
-        c_before = round(run_canary(), 3) if stamp else None
-        # effective-core probes bracket the run as well: round-4
-        # observation — a 150k flagship recorded 105 s with QUIET
-        # canaries (12.7/12.6 s) while interleaved A/B trials of the
-        # same commit pair spanned 31-54 s, i.e. sustained mid-run
-        # load is invisible to the 15 s canary but shows directly as
-        # depressed effective cores / inflated per-doc cpu
-        p_before = quick_probe(
-            int(os.environ.get("RAY_GRAFT_CPUS", "32"))) if stamp else None
-        res = run_bench()
-        if stamp:
-            res["canary_before_sec"] = c_before
-            res["canary_after_sec"] = round(run_canary(), 3)
-            res["probe_before_cores"] = p_before
-            res["probe_after_cores"] = quick_probe(
-                int(os.environ.get("RAY_GRAFT_CPUS", "32")))
-        print(json.dumps(res))
+        print(json.dumps(run_bench()))

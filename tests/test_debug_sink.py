@@ -86,3 +86,39 @@ def test_pipeline_debug_out_writes_both_artifacts(ray_session, tmp_path):
             for p in debugs} == \
         {os.path.basename(p).replace("_blobs_only.pgm", "")
          for p in overlays}
+
+
+def test_debug_sink_skips_corrupt_and_missing_payloads(tmp_path):
+    """A payload that does not decode is skipped like a missing ref:
+    the batch passes through and every decodable media span still gets
+    its two artifacts."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from wine_label_ocr_ray.stages.debug_sink import DebugImageSink
+    from wine_label_ocr_ray.synth import generate_corpus
+    corpus = generate_corpus(str(tmp_path / "c"), num_docs=10, seed=2)
+    media = pads.dataset(os.path.join(corpus, "media")).to_table()
+    good_a, bad, good_b = sorted(media.column("media_ref").to_pylist())[:3]
+    payload = pc.if_else(pc.equal(media["media_ref"], bad),
+                         pa.scalar(b"{not json", pa.binary()),
+                         media["payload"])
+    os.makedirs(tmp_path / "media")
+    pq.write_table(media.set_column(1, "payload", payload),
+                   str(tmp_path / "media" / "part-0.parquet"))
+
+    def span(kind, ref):
+        return {"kind": kind, "media_ref": ref}
+    batch = pa.table({"doc_id": ["a", "b", "c"], "spans": [
+        [span("media", good_a), span("text", "")],
+        [span("media", bad), span("media", "no-such-ref")],
+        [span("media", good_b)]]})
+    dbg = str(tmp_path / "dbg")
+    sink = DebugImageSink(str(tmp_path / "media"), dbg,
+                          limit_per_actor=None)
+    assert sink(batch) is batch
+    assert sorted(os.listdir(dbg)) == sorted(
+        f"{r}_{suffix}.pgm" for r in (good_a, good_b)
+        for suffix in ("debug", "blobs_only"))

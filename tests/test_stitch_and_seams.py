@@ -90,6 +90,154 @@ def test_stitch_matches_manual_pair(ray_session, tmp_path):
     assert checked >= 1
 
 
+def _pair_first_two_bucket(g):
+    """Reference: the pair selection of the shuffle plan this module
+    replaced (rank each doc's media span rows by a stable sort on
+    (doc_id, offset), inner-join rank 0 with rank 1)."""
+    g = g.sort_values(["doc_id", "offset"], kind="stable")
+    rank = g.groupby("doc_id", sort=False).cumcount()
+    firsts = g.loc[rank == 0, ["doc_id", "media_ref"]].rename(
+        columns={"media_ref": "ref_a"})
+    seconds = g.loc[rank == 1, ["doc_id", "media_ref"]].rename(
+        columns={"media_ref": "ref_b"})
+    return firsts.merge(seconds, on="doc_id", how="inner")
+
+
+def _docs_table(docs):
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.schema import DOC_SCHEMA
+    return pa.Table.from_pylist(
+        [{"doc_id": d, "spans": [
+            {"kind": k, "text": "" if k == "media" else "t", "media_ref":
+             r if k == "media" else "", "offset": o} for k, r, o in spans]}
+         for d, spans in docs], schema=DOC_SCHEMA)
+
+
+def test_first_two_media_matches_shuffle_reference():
+    """The doc-row pair selection equals the old bucket shuffle's pandas
+    pair selection: offset ties (span order wins), unsorted offsets,
+    text spans between media spans, docs with 0, 1, 2 and >= 3 media
+    spans, an empty doc, and chunked batches."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.stages.stitch import first_two_media
+    docs = [
+        ("d-empty", []),
+        ("d-text", [("text", None, 0), ("text", None, 1)]),
+        ("d-one", [("text", None, 0), ("media", "one-a", 1)]),
+        ("d-two-unsorted", [("media", "u-late", 9), ("text", None, 5),
+                            ("media", "u-early", 2)]),
+        ("d-text-between", [("media", "b-0", 0), ("text", None, 1),
+                            ("text", None, 2), ("media", "b-3", 3),
+                            ("media", "b-4", 4)]),
+        ("d-ties", [("media", "t-3a", 3), ("media", "t-3b", 3),
+                    ("media", "t-1", 1), ("media", "t-3c", 3)]),
+        ("d-tie-first", [("media", "f-a", 0), ("media", "f-b", 0),
+                         ("text", None, 0)]),
+    ]
+    rng = np.random.RandomState(5)
+    for i in range(300):
+        spans = []
+        for j in range(rng.randint(0, 9)):
+            kind = "media" if rng.rand() < 0.5 else "text"
+            spans.append((kind, f"r-{i}-{j}", int(rng.randint(0, 4))))
+        docs.append((f"doc-{i:04d}", spans))
+    table = _docs_table(docs)
+    rows = [{"doc_id": d, "offset": o, "media_ref": r}
+            for d, spans in docs for k, r, o in spans if k == "media"]
+    want = _pair_first_two_bucket(pd.DataFrame(rows)) \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert {"d-empty", "d-text", "d-one"}.isdisjoint(want.doc_id)
+    assert len(want) > 100
+    for t in (table, pa.concat_tables([table.slice(0, 150),
+                                       table.slice(150)])):
+        got = first_two_media(t).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want)
+    got = first_two_media(table).to_pandas().set_index("doc_id")
+    assert tuple(got.loc["d-two-unsorted"]) == ("u-early", "u-late")
+    assert tuple(got.loc["d-text-between"]) == ("b-0", "b-3")
+    assert tuple(got.loc["d-ties"]) == ("t-1", "t-3a")
+    assert tuple(got.loc["d-tie-first"]) == ("f-a", "f-b")
+    assert first_two_media(table.slice(0, 0)).num_rows == 0
+
+
+def _media_store_with(tmp_path, corpus, bad):
+    """A copy of ``corpus``'s media store whose ``bad`` refs hold
+    payloads that do not decode."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    media = pads.dataset(os.path.join(corpus, "media")).to_table()
+    corrupt = pc.is_in(media["media_ref"], value_set=pa.array(bad))
+    payload = pc.if_else(corrupt, pa.scalar(b"{not json", pa.binary()),
+                         media["payload"])
+    out = tmp_path / "media"
+    out.mkdir()
+    pq.write_table(media.set_column(1, "payload", payload),
+                   str(out / "part-0.parquet"))
+    return str(out)
+
+
+def test_stitch_pairs_corrupt_or_missing_payload_costs_one_row(tmp_path):
+    """A pair with an undecodable or missing payload gets the
+    missing-pair row (0, 0, null); the batch's other pairs are
+    stitched as before."""
+    import hashlib
+    import os
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+
+    from wine_label_ocr_ray.sources.media import MediaStore
+    from wine_label_ocr_ray.stages.stitch import StitchPairs
+    from wine_label_ocr_ray.synth import decode_payload, generate_corpus
+    corpus = generate_corpus(str(tmp_path / "c"), num_docs=20, seed=3)
+    refs = sorted(pads.dataset(os.path.join(corpus, "media")).to_table(
+        columns=["media_ref"]).column("media_ref").to_pylist())
+    refs_a, refs_b = refs[:6], refs[6:12]
+    media_path = _media_store_with(tmp_path, corpus, [refs_b[1]])
+    refs_b[2] = "no-such-ref"
+    pairs = pa.table({"doc_id": [f"d-{i}" for i in range(6)],
+                      "ref_a": refs_a, "ref_b": refs_b})
+    out = StitchPairs(media_path)(pairs).to_pylist()
+    assert [r["doc_id"] for r in out] == pairs.column("doc_id").to_pylist()
+    for i in (1, 2):
+        assert (out[i]["stitched_h"], out[i]["stitched_w"],
+                out[i]["checksum"]) == (0, 0, None)
+    store = MediaStore(os.path.join(corpus, "media"))
+    for i in (0, 3, 4, 5):
+        got = store.fetch([refs_a[i], refs_b[i]])
+        s = stitch_horizontal(decode_payload(got[refs_a[i]])[1],
+                              decode_payload(got[refs_b[i]])[1])
+        assert (out[i]["stitched_h"], out[i]["stitched_w"]) == s.shape
+        assert out[i]["checksum"] == hashlib.md5(
+            s.tobytes()).hexdigest()[:16]
+
+
+def test_stitch_plan_has_no_all_to_all_operator(ray_session, tmp_path):
+    """Each doc row holds all of its spans, so the stitch plan pairs
+    refs without an exchange: no Sort, Aggregate or Repartition."""
+    from wine_label_ocr_ray.stages.stitch import build_stitch_pipeline
+    from wine_label_ocr_ray.synth import generate_corpus
+
+    def names(op):
+        yield op.name
+        for dep in op.input_dependencies:
+            yield from names(dep)
+    corpus = generate_corpus(str(tmp_path / "c"), num_docs=20, seed=1)
+    ops = list(names(build_stitch_pipeline(corpus)._logical_plan.dag))
+    assert any("StitchPairs" in n for n in ops), ops
+    assert not [n for n in ops
+                if n.split("(")[0] in ("Sort", "Aggregate", "Repartition")]
+
+
 def test_roi_detector_override_and_fallback():
     from wine_label_ocr_ray.functions.enhance import (
         find_label_roi, find_label_roi_with_detections)

@@ -13,19 +13,25 @@ from . import queries_docs as D
 from . import queries_rel as R
 
 
+def derived_corpus(sf_dir: str) -> str:
+    """The interleaved corpus derived deterministically from this
+    sf_dir's documents table, cached under /tmp by the sf_dir's name."""
+    from ..synth import derive_corpus_from_documents
+
+    tag = os.path.basename(os.path.normpath(sf_dir))
+    return derive_corpus_from_documents(
+        os.path.join(sf_dir, "documents.parquet"),
+        f"/tmp/wlor_corpus_{tag}", seed=42)
+
+
 def flagship_extract(sf_dir: str):
     """Flagship interleaved-document extraction over a corpus derived
     deterministically from this sf_dir's documents table (scalar record
     columns only; span/blob equality is covered by the pytest oracle
     suite)."""
     from ..pipelines.extract import build_extract_pipeline
-    from ..synth import derive_corpus_from_documents
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    corpus = derive_corpus_from_documents(
-        os.path.join(sf_dir, "documents.parquet"),
-        f"/tmp/wlor_corpus_{tag}", seed=42)
-    ds = build_extract_pipeline(corpus)
+    ds = build_extract_pipeline(derived_corpus(sf_dir))
     return ds.select_columns(["doc_id", "custom_id", "maker_name",
                               "maker_norm", "vintage", "barcode", "key",
                               "record_id", "valid"])
@@ -91,13 +97,9 @@ def media_decode_stats(sf_dir: str) -> pd.DataFrame:
     import numpy as np
 
     from ..stages.multimodal import image_features
-    from ..synth import derive_corpus_from_documents
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    corpus = derive_corpus_from_documents(
-        os.path.join(sf_dir, "documents.parquet"),
-        f"/tmp/wlor_corpus_{tag}", seed=42)
-    feats = image_features(os.path.join(corpus, "media")).to_pandas()
+    feats = image_features(
+        os.path.join(derived_corpus(sf_dir), "media")).to_pandas()
     return pd.DataFrame({
         "n_images": [len(feats)],
         "avg_mean_val": [round(float(np.mean(feats.mean_val)), 4)],
@@ -114,14 +116,9 @@ def media_frame_stats(sf_dir: str) -> pd.DataFrame:
     import numpy as np
 
     from ..stages.multimodal import video_frame_features
-    from ..synth import derive_corpus_from_documents
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    corpus = derive_corpus_from_documents(
-        os.path.join(sf_dir, "documents.parquet"),
-        f"/tmp/wlor_corpus_{tag}", seed=42)
     feats = video_frame_features(
-        os.path.join(corpus, "media")).to_pandas()
+        os.path.join(derived_corpus(sf_dir), "media")).to_pandas()
     if feats.empty:
         return pd.DataFrame({"n_videos": [0], "n_frames": [0],
                              "avg_temporal_delta": [0.0],
@@ -141,13 +138,8 @@ def flagship_extract_full(sf_dir: str):
     blob_near_dup; not registered — nested outputs stress the driver's
     hash compare)."""
     from ..pipelines.extract import build_extract_pipeline
-    from ..synth import derive_corpus_from_documents
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    corpus = derive_corpus_from_documents(
-        os.path.join(sf_dir, "documents.parquet"),
-        f"/tmp/wlor_corpus_{tag}", seed=42)
-    return build_extract_pipeline(corpus)
+    return build_extract_pipeline(derived_corpus(sf_dir))
 
 
 def media_stitch(sf_dir: str) -> pd.DataFrame:
@@ -155,13 +147,8 @@ def media_stitch(sf_dir: str) -> pd.DataFrame:
     with >= 2 media spans (front/back pair stitched with matched
     heights). Rows-only (pixel reduce, not SQL-expressible)."""
     from ..stages.stitch import build_stitch_pipeline
-    from ..synth import derive_corpus_from_documents
 
-    tag = os.path.basename(os.path.normpath(sf_dir))
-    corpus = derive_corpus_from_documents(
-        os.path.join(sf_dir, "documents.parquet"),
-        f"/tmp/wlor_corpus_{tag}", seed=42)
-    out = build_stitch_pipeline(corpus).to_pandas()
+    out = build_stitch_pipeline(derived_corpus(sf_dir)).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 

@@ -19,12 +19,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # package-internal imports at module top (by-value pickling rule — see
 # state/engines.py note)
 from ..functions.imaging import create_text_mask, extract_smart_blobs
 from ..sources.media import MediaStore
-from ..synth import decode_payload
+from ..synth import decode_payloads
 from .spans import span_rows_of
 
 # --------------------------------------------------------------- font
@@ -152,7 +153,8 @@ def write_pgm(path: str, img: np.ndarray) -> None:
 
 class DebugImageSink:
     """Actor stage: decodes each media payload and writes the
-    reference's TWO debug artifacts per span —
+    reference's TWO debug artifacts per span (a missing or undecodable
+    payload is skipped) —
     ``<out_dir>/<media_ref>_debug.pgm`` (the annotated 2x2 composite)
     and ``<out_dir>/<media_ref>_blobs_only.pgm`` (the plain overlay,
     ``hybrid.py:407-409``)."""
@@ -161,7 +163,6 @@ class DebugImageSink:
                  limit_per_actor: Optional[int] = 64,
                  min_blob_area: float = 30.0):
         self._store = MediaStore(media_path)
-        self._decode = decode_payload
         self._mask = create_text_mask
         self.out_dir = out_dir
         self.limit = limit_per_actor
@@ -173,17 +174,17 @@ class DebugImageSink:
         if self.limit is not None and self._written >= self.limit:
             return batch
         spans = span_rows_of(batch)
-        kinds = spans.column("kind").to_pylist()
-        refs = spans.column("media_ref").to_pylist()
-        media_refs = [r for r, k in zip(refs, kinds) if k == "media"]
-        payloads = self._store.fetch(media_refs)
-        for ref in media_refs:
+        refs = spans.filter(pc.equal(spans.column("kind"), "media")) \
+            .column("media_ref").combine_chunks()
+        payloads, at = self._store.fetch_column(refs)
+        dec = decode_payloads(payloads)
+        for ref, j in zip(refs.to_pylist(),
+                          pc.fill_null(at, -1).to_pylist()):
             if self.limit is not None and self._written >= self.limit:
                 break
-            payload = payloads.get(ref)
-            if payload is None:
+            if j < 0 or not dec.ok[j]:
                 continue
-            _, gray = self._decode(payload)
+            gray = dec.gray(j)
             mask, _ = self._mask(gray, use_image_as_mask=True)
             blobs = extract_smart_blobs(mask, self.min_blob_area)
             write_pgm(os.path.join(self.out_dir, f"{ref}_debug.pgm"),

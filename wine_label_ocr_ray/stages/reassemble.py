@@ -35,7 +35,8 @@ custom_id/key/record_id/valid (sha1) once per distinct
 The flagship plan carries one row per doc (stages/spans.py), so
 ``assemble_docs`` sees whole docs and needs no exchange;
 ``assemble_bucket`` and ``add_bucket`` keep the span-row shuffle
-contract (stages/stitch.py).
+contract for the perfbench replay (``perfbench/replay.py``), their
+one caller outside the tests; no package pipeline uses them.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """M14 horizontal stitch (``Photo_Stitch.py:124-132``) as an optional
-per-document media-pair reduce.
+per-document media-pair map.
 
 The reference stitches the interactively captured front/back photos of
 one bottle into a single side-by-side image before OCR. The batch-
 engine analog: for every document with at least two media spans, pair
 the first two in span order (front, back), fetch both payloads, and
 stitch the decoded grayscale frames with matched heights. Expressed
-Ray-Data-first: a spans explode -> media filter -> groupby(doc_id)
-pair selection (small rows: ids + refs only, no pixels in the
-shuffle) -> actor-pool stitch stage that holds the media store handle
-and fetches exactly its batch's payloads.
+Ray-Data-first: each doc row already holds all of its spans, so a plain
+``map_batches`` over doc rows picks each doc's pair (small rows: ids +
+refs only, no exchange), then an actor-pool stitch stage that holds the
+media store handle fetches and decodes exactly its batch's payloads.
+A pair with a missing or undecodable payload costs its own row, not
+the block.
 """
 
 from __future__ import annotations
@@ -19,15 +21,45 @@ import os
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import PipelineConfig
 from ..functions.imaging import stitch_horizontal
 from ..pipelines.extract import autosize_pool
 from ..sources.media import MediaStore
-from ..state.engines import decode_payload
-from .spans import explode_spans
+from ..synth import decode_payloads
+
+
+def _column(t: pa.Table, name: str) -> pa.Array:
+    col = t.column(name)
+    return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+
+
+def first_two_media(docs: pa.Table) -> pa.Table:
+    """(doc_id, ref_a, ref_b) of every doc row with at least two media
+    spans: its first two media spans by offset, ties kept in span order
+    (a stable sort)."""
+    spans = _column(docs, "spans")
+    flat = pc.list_flatten(spans)
+    rows = pa.table({
+        "parent": pc.list_parent_indices(spans),
+        "offset": pc.struct_field(flat, "offset"),
+        "media_ref": pc.struct_field(flat, "media_ref"),
+    }).filter(pc.equal(pc.struct_field(flat, "kind"), "media"))
+    rows = rows.take(pc.sort_indices(
+        rows, [("parent", "ascending"), ("offset", "ascending")]))
+    parent = rows.column("parent").to_numpy()
+    # a doc's first media row is paired when the next row is its own
+    first = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]]) \
+        if len(parent) else np.zeros(0, np.int64)
+    paired = first[first + 1 < len(parent)]
+    paired = paired[parent[paired + 1] == parent[paired]]
+    refs = _column(rows, "media_ref")
+    return pa.table({
+        "doc_id": _column(docs, "doc_id").take(parent[paired]),
+        "ref_a": refs.take(paired),
+        "ref_b": refs.take(paired + 1)})
 
 
 class StitchPairs:
@@ -39,23 +71,20 @@ class StitchPairs:
         self.store = MediaStore(media_path)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ref_a = batch.column("ref_a").to_pylist()
-        ref_b = batch.column("ref_b").to_pylist()
-        payloads = self.store.fetch(list(dict.fromkeys(ref_a + ref_b)))
-        hs, ws, sums = [], [], []
-        for ra, rb in zip(ref_a, ref_b):
-            pa_, pb_ = payloads.get(ra), payloads.get(rb)
-            if pa_ is None or pb_ is None:
-                hs.append(0)
-                ws.append(0)
-                sums.append(None)
-                continue
-            _, ga = decode_payload(pa_)
-            _, gb = decode_payload(pb_)
-            stitched = stitch_horizontal(ga, gb)
-            hs.append(stitched.shape[0])
-            ws.append(stitched.shape[1])
-            sums.append(hashlib.md5(stitched.tobytes()).hexdigest()[:16])
+        n = batch.num_rows
+        payloads, at = self.store.fetch_column(pa.concat_arrays(
+            [_column(batch, "ref_a"), _column(batch, "ref_b")]))
+        dec = decode_payloads(payloads)
+        at = pc.fill_null(at, -1).to_numpy().astype(np.int64)
+        ok = np.zeros(2 * n, dtype=bool)
+        ok[at >= 0] = dec.ok[at[at >= 0]]
+        hs = np.zeros(n, dtype=np.int32)
+        ws = np.zeros(n, dtype=np.int32)
+        sums = [None] * n
+        for i in np.flatnonzero(ok[:n] & ok[n:]).tolist():
+            stitched = stitch_horizontal(dec.gray(at[i]), dec.gray(at[n + i]))
+            hs[i], ws[i] = stitched.shape
+            sums[i] = hashlib.md5(stitched.tobytes()).hexdigest()[:16]
         return pa.table({
             "doc_id": batch.column("doc_id"),
             "stitched_h": pa.array(hs, pa.int32()),
@@ -63,30 +92,10 @@ class StitchPairs:
             "checksum": pa.array(sums, pa.string())})
 
 
-_STITCH_BUCKETS = 64
-
-
-def _pair_first_two_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Pair selection for EVERY doc in one doc-id-hash bucket (the
-    same amortization as the flagship's ``assemble_bucket`` — a
-    per-doc ``map_groups`` pays ~200 µs of group overhead per
-    document; bucketing makes the group count a constant 64,
-    independent of corpus size). Vectorized: rank spans per doc by
-    offset, inner-join rank-0 with rank-1 (drops <2-media docs)."""
-    g = g.sort_values(["doc_id", "offset"], kind="stable")
-    rank = g.groupby("doc_id", sort=False).cumcount()
-    firsts = g.loc[rank == 0, ["doc_id", "media_ref"]].rename(
-        columns={"media_ref": "ref_a"})
-    seconds = g.loc[rank == 1, ["doc_id", "media_ref"]].rename(
-        columns={"media_ref": "ref_b"})
-    return firsts.merge(seconds, on="doc_id", how="inner")
-
-
 def build_stitch_pipeline(corpus_dir: str,
                           cfg: Optional[PipelineConfig] = None):
     """Lazy Dataset of (doc_id, stitched_h, stitched_w, checksum), one
     row per document with >= 2 media spans."""
-    import pyarrow.compute as pc
     import ray
     import ray.data as rd
 
@@ -96,23 +105,7 @@ def build_stitch_pipeline(corpus_dir: str,
     media_path = os.path.join(corpus_dir, "media")
     docs = rd.read_parquet(os.path.join(corpus_dir, "documents"),
                            columns=["doc_id", "spans"])
-
-    def media_refs(t: pa.Table) -> pa.Table:
-        rows = explode_spans(t)
-        rows = rows.filter(pc.equal(rows["kind"], "media"))
-        return rows.select(["doc_id", "offset", "media_ref"])
-
-    import functools
-
-    from .reassemble import add_bucket
-
-    pairs = (docs.map_batches(media_refs, batch_format="pyarrow")
-                 .map_batches(functools.partial(
-                     add_bucket, num_buckets=_STITCH_BUCKETS),
-                     batch_format="pyarrow")
-                 .groupby("bucket")
-                 .map_groups(_pair_first_two_bucket,
-                             batch_format="pandas"))
+    pairs = docs.map_batches(first_two_media, batch_format="pyarrow")
 
     total_cpus = int(ray.cluster_resources().get("CPU", 4)) \
         if ray.is_initialized() else 4
@@ -120,7 +113,7 @@ def build_stitch_pipeline(corpus_dir: str,
         StitchPairs,
         fn_constructor_kwargs=dict(media_path=media_path),
         batch_format="pyarrow", batch_size=256,
-        # cap below the cluster width so the upstream read/shuffle
-        # tasks keep a schedulable CPU (2-cpu-session deadlock guard;
+        # cap below the cluster width so the upstream read tasks
+        # keep a schedulable CPU (2-cpu-session deadlock guard;
         # same policy as the media stage)
         concurrency=autosize_pool(total_cpus))
