@@ -7,8 +7,8 @@ the deterministic interleaved corpus of $WLOR_BENCH_DOCS docs, default
 a warm-up run over 1/8 of the shards, then the best of two timed runs,
 with per-operator wall/CPU seconds and output rows from Ray Data's
 structured stats. Then, in a second fresh session, the sf-dir corpus
-derivation and the ``BENCH_QUERIES`` over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1); WLOR_BENCH_QUERIES=skip leaves both out.
+derivation and the ``BENCH_QUERIES`` over the sf0.1 test data or
+$GRAFT_SF_DIR; WLOR_BENCH_QUERIES=skip leaves both out.
 
 ``python bench.py --checkpointed``: one checkpointed flagship run (one
 streaming execution, per-shard commits) over 20,000 docs in 8 shards.

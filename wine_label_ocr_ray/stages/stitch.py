@@ -51,8 +51,7 @@ def first_two_media(docs: pa.Table) -> pa.Table:
         rows, [("parent", "ascending"), ("offset", "ascending")]))
     parent = rows.column("parent").to_numpy()
     # a doc's first media row is paired when the next row is its own
-    first = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]]) \
-        if len(parent) else np.zeros(0, np.int64)
+    first = np.flatnonzero(np.r_[True, parent[1:] != parent[:-1]])
     paired = first[first + 1 < len(parent)]
     paired = paired[parent[paired + 1] == parent[paired]]
     refs = _column(rows, "media_ref")
