@@ -81,6 +81,29 @@ def test_plan_has_no_all_to_all_operator(ray_session, corpus):
                 if n.split("(")[0] in ("Sort", "Aggregate", "Repartition")]
 
 
+def test_text_leg_runs_on_media_batches(ray_session, corpus):
+    """The text stage asks for the media stage's batch size, and the
+    optimizer still fuses the two into one operator: the text leg then
+    runs once per media batch, not once per read block."""
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from wine_label_ocr_ray.config import PipelineConfig
+
+    def walk(op):
+        yield op
+        for dep in op.input_dependencies:
+            yield from walk(dep)
+    cfg = PipelineConfig(media_batch_size=300)
+    ds = build_extract_pipeline(corpus, cfg)
+    stages = {op.name: op for op in walk(ds._logical_plan.dag)}
+    assert stages["MapBatches(text_doc_rows)"]._batch_size == 300
+    assert stages["MapBatches(DocMediaExtract)"]._batch_size == 300
+    fused = [op.name for op in walk(get_execution_plan(
+        ds._logical_plan).dag)]
+    assert any("MapBatches(text_doc_rows)->MapBatches(DocMediaExtract)"
+               in name for name in fused), fused
+
+
 # Driver for test_flagship_with_package_shipped_by_value_only: the repo
 # root reaches the driver through sys.path alone, so the Ray workers
 # get the package only as the by-value pickles of _rayprep.

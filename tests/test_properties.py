@@ -663,3 +663,96 @@ def test_assemble_docs_matches_rowwise_reference(docs):
     want = [dict(_ref_record([dict(r, doc_id=d) for r in spans]), path=p)
             for (d, spans), p in zip(docs, paths) if spans]
     assert assemble_docs(table).to_pylist() == want
+
+
+# --- vectorized text leg vs the scalar spec --------------------------
+
+# every character of str.isspace
+_SPACES = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0 "
+           + "".join(map(chr, range(0x2000, 0x200b)))
+           + "    　")
+_MARKUP = st.one_of(
+    st.sampled_from(["<b>", "</p>", "<br/>", "<div class=nav>", "<", ">",
+                     "<>", "&lt;", "&gt;", "&quot;", "&#39;", "&nbsp;",
+                     "&amp;", "&amp;lt;", "&", ";", "&lt"]),
+    # tags around the 128-character bound, some with a non-ASCII body
+    st.builds(lambda k, c: "<" + c * k + ">",
+              st.integers(120, 135), st.sampled_from(["a", " ", "é", "<"])),
+)
+_WORDS = st.sampled_from(["VIN", "vIn", "vintage", "ViNtAgE", "V.", "v.",
+                          "vnt", "VNT", "_", "x", "Opus", "٩", "é"])
+_TEXT_TOKEN = st.one_of(_MARKUP, _WORDS, st.sampled_from(list(_SPACES)),
+                        st.text("0123456789", min_size=1, max_size=6))
+# digit runs of 1-9 digits, years just inside and outside 1900-2030
+_YEARISH = st.one_of(
+    st.sampled_from(["1899", "1900", "1901", "1999", "2000", "2029",
+                     "2030", "2031", "19", "20", "٩"]),
+    st.text("0123456789", min_size=1, max_size=9))
+_DIGIT_TOKEN = st.one_of(_YEARISH, _YEARISH, _WORDS,
+                         st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c",
+                                          "\xa0", "-", "<b>", "&amp;"]))
+
+
+def _assert_text_leg_matches_spec(spans, junk):
+    """``extract_text_spans`` over the span rows of ``spans`` (a list of
+    (kind, text)) behind ``junk`` rows that are sliced off first, so
+    every column starts at a non-zero offset: each text row equals the
+    scalar spec, each media row is untouched."""
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.schema import DOC_SCHEMA
+    from wine_label_ocr_ray.stages.spans import (explode_spans,
+                                                 extract_text_spans)
+
+    docs = pa.Table.from_pylist(
+        [{"doc_id": f"d{i}", "spans": [
+            {"kind": kind, "text": text, "media_ref": "m" if kind == "media"
+             else "", "offset": 0}]}
+         for i, (kind, text) in enumerate(junk + spans)], schema=DOC_SCHEMA)
+    rows = explode_spans(docs).slice(len(junk))
+    out = extract_text_spans(rows).to_pylist()
+    assert len(out) == len(spans)
+    for (kind, text), before, after in zip(spans, rows.to_pylist(), out):
+        if kind == "media":
+            assert after == before
+        else:
+            clean = T.strip_markup(text)
+            assert after == dict(before, span_text=clean,
+                                 text_year=T.extract_year_from_text(clean))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["text", "text", "text", "media"]),
+    st.lists(_TEXT_TOKEN, max_size=12).map("".join)), max_size=12),
+    st.lists(st.tuples(st.just("text"), st.sampled_from(
+        ["<b>x</b>", "2001", "a  b"])), max_size=3))
+@example([("text", "vin\xa02011")], [])
+@example([("text", "bottled 19٩٠ x")], [])
+@example([("text", "<" + "a" * 128 + ">2001"), ("text", "<" + "a" * 129
+                                                 + ">x"),
+          ("text", "<a <" + "é" * 127 + "> z")], [])
+def test_text_leg_matches_scalar_spec(spans, junk):
+    _assert_text_leg_matches_spec(spans, junk)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["text", "text", "media"]),
+    st.lists(_DIGIT_TOKEN, max_size=10).map("".join)), max_size=12))
+@example([("text", "x18991900"), ("text", "12019 vin"),
+          ("text", "203020301900"), ("text", "v.\x0b1999"),
+          ("text", "19001")])
+def test_text_leg_years_match_scalar_spec(spans):
+    """Also on text that was not stripped: the year passes read any
+    whitespace as Python's ``\\s`` does."""
+    import numpy as np
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.stages.spans import _text_years
+
+    _assert_text_leg_matches_spec(spans, [])
+    texts = [text for _kind, text in spans]
+    assert _text_years(pa.array(texts, pa.string()), np.ones(
+        len(texts), dtype=bool)).to_pylist() == [
+            T.extract_year_from_text(t) for t in texts]

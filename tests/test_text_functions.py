@@ -118,3 +118,42 @@ def test_strip_markup():
     assert T.strip_markup("a &amp; b") == "a & b"
     assert T.strip_markup("  x\n\ny  ") == "x y"
     assert T.strip_markup("") == ""
+
+
+def _text_leg(text):
+    """(span_text, text_year) of one text span through the vectorized
+    text leg (``stages.spans.extract_text_spans``)."""
+    import pyarrow as pa
+
+    from wine_label_ocr_ray.schema import DOC_SCHEMA
+    from wine_label_ocr_ray.stages.spans import (explode_spans,
+                                                 extract_text_spans)
+
+    docs = pa.Table.from_pylist([{"doc_id": "d", "spans": [
+        {"kind": "text", "text": text, "media_ref": "", "offset": 0}]}],
+        schema=DOC_SCHEMA)
+    row = extract_text_spans(explode_spans(docs)).to_pylist()[0]
+    return row["span_text"], row["text_year"]
+
+
+# every character of str.isspace, which Python's \s matches; RE2's \s
+# holds only \t, \n, \f, \r and the space
+PY_SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_text_leg_collapses_every_python_whitespace():
+    assert len(PY_SPACES) == 29
+    assert _text_leg("vin\xa02011") == ("vin 2011", "2011")
+    for ch in PY_SPACES:
+        text = f"{ch}a{ch}{ch}b {ch}c{ch}"
+        assert _text_leg(text)[0] == T.strip_markup(text) == "a b c", \
+            hex(ord(ch))
+
+
+def test_text_leg_reads_non_ascii_digits():
+    """Python's \\d matches every Unicode decimal digit, so the scalar
+    chain reads a year the ASCII-only RE2 classes cannot see."""
+    assert T.extract_year_from_text("bottled 19\u0669\u0660 x") == \
+        "19\u0669\u0660"
+    assert _text_leg("bottled 19\u0669\u0660 x") == (
+        "bottled 19\u0669\u0660 x", "19\u0669\u0660")

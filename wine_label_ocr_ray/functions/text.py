@@ -45,10 +45,12 @@ _SWEEP_PATTERNS = [
     re.compile(r"(\d{4})"),
 ]
 
+# The vectorized twin (stages/spans.py::_drop_tags) finds the same
+# matches with a byte scan, without RE2.
 _TAG = re.compile(r"<[^>]{0,128}>")
-# Sequential replacement with &amp; LAST, mirrored exactly by the
-# vectorized Arrow kernel chain in stages/spans.py (order matters:
-# amp-last keeps sequential == single-pass semantics).
+# Sequential replacement with &amp; LAST (amp-last keeps sequential ==
+# single-pass semantics). The vectorized twin runs the same passes, in
+# this order, only on the rows holding a "&" (or a non-ASCII byte).
 ENTITY_ORDER = [("&lt;", "<"), ("&gt;", ">"), ("&quot;", '"'),
                 ("&#39;", "'"), ("&nbsp;", " "), ("&amp;", "&")]
 _WS = re.compile(r"\s+")

@@ -72,7 +72,11 @@ def build_extract_pipeline(corpus_dir: str,
     else:
         docs = read_documents(corpus_dir,
                               override_num_blocks=cfg.override_num_blocks)
-    docs = docs.map_batches(text_doc_rows, batch_format="pyarrow")
+    # the text leg takes the media stage's batches: fused into one
+    # operator, the two then run once per batch of media_batch_size
+    # docs, not the text leg once per read block
+    docs = docs.map_batches(text_doc_rows, batch_format="pyarrow",
+                            batch_size=cfg.media_batch_size)
     docs = docs.map_batches(
         DocMediaExtract,
         fn_constructor_kwargs=dict(

@@ -50,7 +50,7 @@ from ..sources.media import MediaStore
 from ..state.engines import BlobAnalyzer, Detections, resolve_engines
 # decode_payload: the one-payload decode, looked up here by callers
 from ..synth import decode_payload, decode_payloads  # noqa: F401
-from .spans import nest_spans, span_rows_of
+from .spans import nest_spans, one_array, span_rows_of
 
 _MAKER_CLASSES = frozenset({"maker_name", "producer", "winery"})
 _VINTAGE_CLASSES = frozenset({"vintage", "year"})
@@ -328,7 +328,11 @@ class MediaExtract:
             pos[bad] = len(ok) + np.arange(len(bad))
             fields = {name: pa.concat_arrays([fields[name], errors[name]])
                       for name in _SPLICED}
-        return {name: fields[name].take(pa.array(pos)) for name in _SPLICED}
+        if np.array_equal(pos, np.arange(len(ok))):
+            # every row its own payload, in order: the common case
+            return fields
+        pos = pa.array(pos)
+        return {name: fields[name].take(pos) for name in _SPLICED}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         mask_np = pc.equal(batch.column("kind"), _MEDIA).to_numpy(
@@ -361,10 +365,8 @@ class MediaExtract:
             if name in _MEDIA_ONLY:
                 replaced = pc.array_take(new_vals, scatter)
             else:
-                col = out.column(name)
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                replaced = pc.replace_with_mask(col, mask_arr, new_vals)
+                replaced = pc.replace_with_mask(one_array(out.column(name)),
+                                                mask_arr, new_vals)
             out = out.set_column(field_idx, name, replaced)
         return out
 

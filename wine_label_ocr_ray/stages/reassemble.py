@@ -51,7 +51,7 @@ from ..functions import text as T
 from ..schema import BLOB_STRUCT, OUT_SPAN_STRUCT, RAW_TYPE, RECORD_SCHEMA
 from .bucketing import hash_mod
 from .media import raw_to_entries
-from .spans import SPAN_ROW_SCHEMA, span_rows_of
+from .spans import SPAN_ROW_SCHEMA, one_array, span_rows_of
 
 # Sentinel for documents with no media span (reference records carry
 # BlobData = {} when the blob leg never ran, WineTracker.py:28).
@@ -102,8 +102,7 @@ def _records(rows: pa.Table, rec: np.ndarray, doc_id: pa.Array) -> pa.Table:
     and one ``doc_id`` per record (every record has a row) ->
     RECORD_SCHEMA records in record order."""
     n = len(doc_id)
-    col = {f.name: rows.column(f.name).combine_chunks()
-           for f in SPAN_ROW_SCHEMA}
+    col = {f.name: one_array(rows.column(f.name)) for f in SPAN_ROW_SCHEMA}
     media_ref = pc.fill_null(col["media_ref"], "")
     order = pc.sort_indices(
         pa.table({"r": rec, "o": col["offset"], "k": col["kind"],
@@ -203,12 +202,12 @@ def assemble_docs(docs: pa.Table) -> pa.Table:
     separate records). Columns other than ``doc_id`` and ``spans`` (the
     source ``path`` of a checkpointed run) ride along."""
     lengths = pc.fill_null(pc.list_value_length(
-        docs.column("spans").combine_chunks()), 0).to_numpy()
+        one_array(docs.column("spans"))), 0).to_numpy()
     keep = lengths > 0
     kept = docs.drop_columns(["spans"]).filter(pa.array(keep))
     records = _records(span_rows_of(docs), np.repeat(np.cumsum(keep) - 1,
                                                      lengths),
-                       kept.column("doc_id").combine_chunks())
+                       one_array(kept.column("doc_id")))
     ride = kept.drop_columns(["doc_id"])
     return pa.Table.from_arrays(records.columns + ride.columns,
                                 records.column_names + ride.column_names)

@@ -55,8 +55,11 @@ from ..synth import decode_payload
 
 def _numeric(values: np.ndarray, typ: pa.DataType) -> pa.Array:
     """``pa.array(values, typ)`` of in-range values, converted by numpy
-    (Arrow's checked cast costs tens of microseconds per call)."""
-    return pa.array(np.asarray(values, dtype=typ.to_pandas_dtype()))
+    and wrapped without a copy (Arrow's checked cast costs tens of
+    microseconds per call, ``pa.array`` several)."""
+    values = np.ascontiguousarray(values, dtype=typ.to_pandas_dtype())
+    return pa.Array.from_buffers(typ, len(values),
+                                 [None, pa.py_buffer(values)])
 
 
 TEXTS_TYPE = pa.list_(pa.string())
@@ -367,12 +370,12 @@ class BlobAnalyzer:
             detections_list = [None] * n
         rois = [self._roi(g, d) for g, d in zip(grays, detections_list)]
         shapes = np.array([r.shape[:2] for r in rois], dtype=np.int64)
-        _, first, group = np.unique(shapes[:, 0] << 32 | shapes[:, 1],
-                                    return_index=True, return_inverse=True)
+        key = shapes[:, 0] << 32 | shapes[:, 1]
         rows, parts = [], []
-        for g, (rh, rw) in enumerate(shapes[first].tolist()):
-            idx = np.flatnonzero(group == g)
-            step = max(1, BLOB_CHUNK_BYTES // max(rh * rw, 1))
+        for k in sorted(set(key.tolist())):
+            idx = np.flatnonzero(key == k)
+            step = max(1, BLOB_CHUNK_BYTES // max((k >> 32) * (k & 0xFFFFFFFF),
+                                                  1))
             for s in range(0, len(idx), step):
                 part = idx[s:s + step]
                 cols = imaging.smart_blob_columns(
@@ -381,26 +384,30 @@ class BlobAnalyzer:
                     self.min_blob_area)
                 rows.append(part[cols.img])
                 parts.append(cols)
-        img = np.concatenate(rows)
-        order = np.argsort(img, kind="stable")
-        cols = imaging.BlobColumns(*(
-            np.concatenate([getattr(p, f) for p in parts])[order]
-            for f in imaging.BlobColumns._fields))
+        if len(parts) == 1:
+            # one kernel call: its blobs are in image order already
+            img, cols = rows[0], parts[0]
+        else:
+            img = np.concatenate(rows)
+            order = np.argsort(img, kind="stable")
+            cols = imaging.BlobColumns(*(
+                np.concatenate([getattr(p, f) for p in parts])[order]
+                for f in imaging.BlobColumns._fields))
         counts = np.bincount(img, minlength=n)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         fingerprints = blob_fingerprints(offsets, cols.cx, cols.cy, cols.w,
                                          cols.h, cols.area, shapes[:, 0],
                                          shapes[:, 1])
-        blobs = pa.StructArray.from_arrays(
-            [_numeric(getattr(cols, f.name), f.type) for f in _BLOB_ITEM],
-            fields=list(_BLOB_ITEM))
-        return pa.StructArray.from_arrays([
-            pa.FixedSizeListArray.from_arrays(
-                _numeric(shapes.ravel(), pa.int32()), 2),
+        blobs = pa.Array.from_buffers(_BLOB_ITEM, len(cols.x), [None], children=[
+            _numeric(getattr(cols, f.name), f.type) for f in _BLOB_ITEM])
+        return pa.Array.from_buffers(BLOB_STRUCT, n, [None], children=[
+            pa.Array.from_buffers(_ROI_SHAPE, n, [None], children=[
+                _numeric(shapes.ravel(), pa.int32())]),
             _numeric(counts, pa.int32()),
             pa.array(fingerprints, pa.string()),
-            pa.ListArray.from_arrays(_numeric(offsets, pa.int32()), blobs),
-        ], fields=list(BLOB_STRUCT))
+            pa.Array.from_buffers(_BLOBS, n, [None, pa.py_buffer(
+                offsets.astype(np.int32))], children=[blobs]),
+        ])
 
     def analyze_batch(self, grays: Sequence[np.ndarray],
                       detections_list: Optional[Sequence] = None
@@ -412,7 +419,9 @@ class BlobAnalyzer:
         return self.analyze_batch([gray], [detections])[0]
 
 
-_BLOB_ITEM = BLOB_STRUCT.field("blobs").type.value_type
+_ROI_SHAPE = BLOB_STRUCT.field("roi_shape").type
+_BLOBS = BLOB_STRUCT.field("blobs").type
+_BLOB_ITEM = _BLOBS.value_type
 
 
 def default_engines(confidence_threshold: float = 0.01):
