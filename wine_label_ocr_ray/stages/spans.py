@@ -51,6 +51,7 @@ SPAN_ROW_FIELDS = [
 ]
 SPAN_ROW_SCHEMA = pa.schema(SPAN_ROW_FIELDS)
 
+
 def one_array(col) -> pa.Array:
     """A column as one Arrow array. Only a column of several chunks is
     copied: ``combine_chunks`` copies a single chunk too, which for
@@ -114,12 +115,6 @@ def _replace_rows(arr: pa.Array, rows: np.ndarray,
     return pc.replace_with_mask(arr, pa.array(mask), values)
 
 
-def _ascii_space(b: np.ndarray) -> np.ndarray:
-    """``str.isspace`` of ASCII bytes: tab to carriage return, the four
-    separators 0x1c-0x1f and the space."""
-    return (b <= 32) & ((b >= 28) | ((b >= 9) & (b <= 13)))
-
-
 def _drop_tags(arr: pa.Array) -> pa.Array:
     """``strip_markup``'s tag pass with its ASCII whitespace collapsed:
     every match of its tag regex ``<[^>]{0,128}>`` becomes one space,
@@ -155,7 +150,8 @@ def _drop_tags(arr: pa.Array) -> pa.Array:
     bounds[0], bounds[-1] = 0, len(b)
     bounds[1:-1:2], bounds[2:-1:2] = lt + 1, gt + 1
     keep = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, np.diff(bounds))
-    space = _ascii_space(b)
+    # str.isspace of an ASCII byte: \t-\r, \x1c-\x1f and the space
+    space = (b <= 32) & ((b >= 28) | ((b >= 9) & (b <= 13)))
     space[lt] = True
     b = np.maximum(b, space.view(np.uint8) << 5)    # a space is 32
     b[lt] = 32
@@ -278,12 +274,13 @@ def extract_text_spans(batch: pa.Table) -> pa.Table:
     regex (M3). Media rows pass through untouched.
 
     Byte-identical to the scalar spec (``strip_markup``, then
-    ``extract_year_from_text``) and costed by what each row holds:
-    the tag and entity passes run only on rows holding markup, the
-    vintage chain (``final_run_ocr.py:153-185``) runs as one RE2 pass
-    per ordered pattern over the ASCII rows with 4 digits still
-    unresolved, and only rows with a non-ASCII character run the
-    scalar chain.
+    ``extract_year_from_text``), at a cost that follows what each row
+    holds: beyond a few passes over the text bytes, the strip's work
+    follows the tags and whitespace runs, the entity passes run only
+    on rows holding a ``&``, the vintage chain
+    (``final_run_ocr.py:153-185``) runs as one RE2 pass per ordered
+    pattern over the ASCII rows with 4 digits still unresolved, and
+    only rows with a non-ASCII character run the scalar chain.
     """
     is_text = pc.equal(one_array(batch.column("kind")), "text")
     raw = one_array(batch.column("span_text"))

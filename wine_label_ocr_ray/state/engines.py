@@ -372,10 +372,9 @@ class BlobAnalyzer:
         shapes = np.array([r.shape[:2] for r in rois], dtype=np.int64)
         key = shapes[:, 0] << 32 | shapes[:, 1]
         rows, parts = [], []
-        for k in sorted(set(key.tolist())):
-            idx = np.flatnonzero(key == k)
-            step = max(1, BLOB_CHUNK_BYTES // max((k >> 32) * (k & 0xFFFFFFFF),
-                                                  1))
+        for rh, rw in sorted(set(map(tuple, shapes.tolist()))):
+            idx = np.flatnonzero(key == rh << 32 | rw)
+            step = max(1, BLOB_CHUNK_BYTES // max(rh * rw, 1))
             for s in range(0, len(idx), step):
                 part = idx[s:s + step]
                 cols = imaging.smart_blob_columns(
@@ -398,8 +397,10 @@ class BlobAnalyzer:
         fingerprints = blob_fingerprints(offsets, cols.cx, cols.cy, cols.w,
                                          cols.h, cols.area, shapes[:, 0],
                                          shapes[:, 1])
-        blobs = pa.Array.from_buffers(_BLOB_ITEM, len(cols.x), [None], children=[
-            _numeric(getattr(cols, f.name), f.type) for f in _BLOB_ITEM])
+        blobs = pa.Array.from_buffers(
+            _BLOB_ITEM, len(cols.x), [None],
+            children=[_numeric(getattr(cols, f.name), f.type)
+                      for f in _BLOB_ITEM])
         return pa.Array.from_buffers(BLOB_STRUCT, n, [None], children=[
             pa.Array.from_buffers(_ROI_SHAPE, n, [None], children=[
                 _numeric(shapes.ravel(), pa.int32())]),
