@@ -215,10 +215,11 @@ _YEAR_PASSES = [
 ]
 
 
-def _four_digits(data: np.ndarray) -> np.ndarray:
-    """Where 4 ASCII digits start (runs may cross rows: a prefilter)."""
-    digit = np.flatnonzero((data >= 48) & (data <= 57))
-    return digit[:-3][digit[3:] - digit[:-3] == 3]
+def _runs_of_four(hit: np.ndarray) -> np.ndarray:
+    """Where 4 bytes in a row for which ``hit`` holds start (a run may
+    cross rows: a prefilter)."""
+    pos = np.flatnonzero(hit)
+    return pos[:-3][pos[3:] - pos[:-3] == 3]
 
 
 _PLACES = np.array([1000, 100, 10, 1])
@@ -236,14 +237,23 @@ def _year_values(y: pa.Array) -> np.ndarray:
 
 def _text_years(cleaned: pa.Array, is_text: np.ndarray) -> pa.Array:
     r"""``extract_year_from_text`` of every text row of ``cleaned``
-    (null elsewhere). Rows with 4 ASCII digits run ``_YEAR_PASSES``;
-    a row with a non-ASCII character runs the scalar function, as
-    Python's ``\d``, ``\w`` and ``\s`` reach beyond ASCII."""
+    (null elsewhere). Every pattern needs 4 digits in a row, so only
+    rows holding 4 digit characters in a row can have a year. ASCII
+    rows with 4 ASCII digits run ``_YEAR_PASSES``. A row with a
+    non-ASCII character, where Python's ``\d``, ``\w`` and ``\s``
+    reach beyond ASCII, runs the scalar function when it holds a run
+    of 4 bytes that are ASCII digits or non-ASCII (every Unicode digit
+    but 0-9 is non-ASCII)."""
     n = len(cleaned)
     non_ascii = _rows_with(cleaned, lambda b: np.flatnonzero(b >= 128))
     non_ascii = non_ascii[is_text[non_ascii]]
-    rows = _rows_with(cleaned, _four_digits)
+    rows = _rows_with(cleaned,
+                      lambda b: _runs_of_four((b >= 48) & (b <= 57)))
     rows = rows[is_text[rows] & ~np.isin(rows, non_ascii)]
+    if len(non_ascii):
+        non_ascii = non_ascii[np.isin(non_ascii, _rows_with(
+            cleaned, lambda b: _runs_of_four(((b >= 48) & (b <= 57))
+                                             | (b >= 128))))]
     year = np.full(n, -1, dtype=np.int64)
     texts = cleaned.take(rows)
     for pattern in _YEAR_PASSES:
