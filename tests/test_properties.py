@@ -582,10 +582,12 @@ _RAW_ENTRY = st.one_of(
         "bucket": st.sampled_from(_LIST_BUCKETS),
         "text": st.sampled_from(["", ".", "ab", "Opus One", "château x",
                                  "2019"]),
-        "conf": st.sampled_from([0.0, 0.25, 0.9, 1.0 / 3])}),
+        # float sums of these depend on the order they are added in
+        "conf": st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.9, 1.0 / 3,
+                                 1e-16])}),
     st.fixed_dictionaries({
         "bucket": st.sampled_from(_BARE_BUCKETS),
-        "text": st.sampled_from(["1999", "corrupt_media"]),
+        "text": st.sampled_from(["1999", "2001", "corrupt_media"]),
         "conf": st.none()}))
 _BLOB = st.one_of(st.none(), st.builds(
     lambda fp, n: {"roi_shape": [4, n], "blob_count": n,
@@ -597,13 +599,16 @@ _BLOB = st.one_of(st.none(), st.builds(
     st.sampled_from(["f0", "f1", "f2"]), st.integers(0, 2)))
 _SPAN_ROW = st.fixed_dictionaries({
     "offset": st.integers(0, 3),
-    "kind": st.sampled_from(["text", "media"]),
+    "kind": st.sampled_from(["text", "media", "media"]),
     "media_ref": st.sampled_from(_MAYBE + ["a", "b", "é", "z"]),
     "span_text": st.sampled_from(_MAYBE + ["x", "VINTAGE 2001"]),
     "text_year": st.sampled_from(_MAYBE + ["2005", "2011"]),
-    "maker_name": st.sampled_from(_MAYBE + ["A", "Opus", "CHÂTEAU Y"]),
+    # ties on length: "Opus"/"Okay", and "CHÂTEAU Y"/"CHATEAU Z" in
+    # characters but not bytes; "??" normalizes to ""
+    "maker_name": st.sampled_from(_MAYBE + ["A", "ab", "??", "Opus", "Okay",
+                                            "CHÂTEAU Y", "CHATEAU Z"]),
     "raw": st.one_of(
-        st.none(), st.lists(_RAW_ENTRY, max_size=4),
+        st.none(), st.lists(_RAW_ENTRY, max_size=5),
         st.just([{"bucket": "error", "text": "corrupt_media",
                   "conf": None}])),
     "vintage_str": st.sampled_from(_MAYBE + ["1999", "2001", "19x9"]),
@@ -622,7 +627,7 @@ def _span_table(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_DOC_IDS, _SPAN_ROW), max_size=14))
+@given(st.lists(st.tuples(_DOC_IDS, _SPAN_ROW), max_size=24))
 def test_assemble_bucket_matches_rowwise_reference(tagged):
     """Span rows of several docs, interleaved: one record per doc_id in
     first-appearance order, equal to the row-wise reference."""
@@ -638,30 +643,57 @@ def test_assemble_bucket_matches_rowwise_reference(tagged):
     assert out.to_pylist() == [_ref_record(g) for g in by_doc.values()]
 
 
+def _media_row(offset, ref, raw, maker=None):
+    return {"offset": offset, "kind": "media", "media_ref": ref,
+            "span_text": "", "text_year": None, "maker_name": maker,
+            "raw": raw, "vintage_str": None, "vintage_by_yolo": False,
+            "barcode": None, "blob": None}
+
+
+def _entry(bucket, text, conf):
+    return {"bucket": bucket, "text": text, "conf": conf}
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_DOC_IDS, st.lists(_SPAN_ROW, max_size=5)),
-                max_size=6))
-def test_assemble_docs_matches_rowwise_reference(docs):
+@given(st.lists(st.tuples(_DOC_IDS, st.lists(_SPAN_ROW, max_size=12)),
+                max_size=6), st.booleans())
+# d0 merged puts bucket "vintage" first: 0.1 + 0.2 + 1e-16 (in offset
+# order, 0.1 + 1e-16 + 0.2 reads one ulp lower), and a repeated bare
+# bucket keeps its first entry; d1's 9 confs sum left to right to one
+# ulp below what np.mean's pairwise sum gives
+@example([("d0", [
+    _media_row(0, "a", [_entry("vintage", "x", 0.1),
+                        _entry("maker_name", "y", 1e-16)], "Okay"),
+    _media_row(1, "b", [_entry("vintage", "z", 0.2),
+                        _entry("vintage_from_fallback", "1999", None)],
+               "Opus"),
+    _media_row(2, "b", [_entry("vintage_from_fallback", "2001", None)])]),
+    ("d1", [_media_row(0, "a", [_entry("vintage", "x", c) for c in
+                                [0.1, 0.2, 1e-16] + [1.0 / 3] * 6])])], True)
+def test_assemble_docs_matches_rowwise_reference(docs, lead):
     """Doc rows (some without spans, doc_ids may repeat) plus a riding
     ``path`` column: one record per doc row with spans, in input order,
-    with its own ``path``."""
+    with its own ``path``. The rows are a slice of a larger batch, with
+    (``lead``) or without a row before it."""
     import numpy as np
     import pyarrow as pa
 
     from wine_label_ocr_ray.stages.reassemble import assemble_docs
     from wine_label_ocr_ray.stages.spans import SPAN_ROW_SCHEMA
 
-    rows = [dict(r, doc_id=d) for d, spans in docs for r in spans]
-    offsets = np.zeros(len(docs) + 1, dtype=np.int32)
-    np.cumsum([len(spans) for _d, spans in docs], out=offsets[1:])
+    junk = ("junk", [_media_row(0, "j", [_entry("error", "x", None)])])
+    padded = [junk] * lead + docs + [junk]
+    rows = [dict(r, doc_id=d) for d, spans in padded for r in spans]
+    offsets = np.zeros(len(padded) + 1, dtype=np.int32)
+    np.cumsum([len(spans) for _d, spans in padded], out=offsets[1:])
     values = pa.array(rows, pa.struct(list(SPAN_ROW_SCHEMA)))
-    paths = [f"part-{i}" for i in range(len(docs))]
+    paths = [f"part-{i}" for i in range(len(padded))]
     table = pa.table({
-        "doc_id": pa.array([d for d, _s in docs], pa.string()),
+        "doc_id": pa.array([d for d, _s in padded], pa.string()),
         "spans": pa.ListArray.from_arrays(pa.array(offsets), values),
-        "path": pa.array(paths, pa.string())})
+        "path": pa.array(paths, pa.string())}).slice(lead, len(docs))
     want = [dict(_ref_record([dict(r, doc_id=d) for r in spans]), path=p)
-            for (d, spans), p in zip(docs, paths) if spans]
+            for (d, spans), p in zip(docs, paths[lead:]) if spans]
     assert assemble_docs(table).to_pylist() == want
 
 

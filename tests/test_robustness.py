@@ -208,6 +208,137 @@ def test_corrupt_payloads_cost_one_row_each(tmp_path):
     assert checked == sum(r["kind"] == "media" for r in rows) - len(bad) > 0
 
 
+# doc rows of the blob-selection corpus: (doc_id, [(kind, text or
+# media_ref, offset)]) and the media_ref whose blob each row's record
+# keeps (None: no media span decodes)
+_SELECTION_DOCS = [
+    # first payload missing, second corrupt, third good
+    ("doc-a", [("media", "m-zz-missing", 0), ("media", "m-a-corrupt", 1),
+               ("media", "m-a-good", 2), ("text", "VINTAGE 2001", 3)],
+     "m-a-good"),
+    # two media spans at one offset, the larger media_ref listed first
+    ("doc-b", [("media", "m-b-2", 0), ("media", "m-b-1", 0)], "m-b-1"),
+    # one ref used twice in a doc and once in another doc, where it is
+    # not that doc's first media span
+    ("doc-c", [("media", "m-c-shared", 2), ("text", "Opus One", 0),
+               ("media", "m-c-shared", 1)], "m-c-shared"),
+    ("doc-d", [("text", "bottled 1999", 0), ("media", "m-c-shared", 2),
+               ("media", "m-d-0", 1)], "m-d-0"),
+    # no media
+    ("doc-e", [("text", "no media here", 0)], None),
+    # two doc rows sharing a doc_id, each keeping its own blob
+    ("doc-f", [("media", "m-f-0", 0), ("text", "first row", 1)], "m-f-0"),
+    ("doc-f", [("media", "m-a-corrupt", 0), ("media", "m-f-1", 2)],
+     "m-f-1"),
+    # only a missing payload
+    ("doc-g", [("media", "m-zz-missing", 0), ("text", "VIN 2011", 1)],
+     None),
+]
+
+
+@pytest.fixture(scope="module")
+def selection_corpus(tmp_path_factory):
+    """One shard holding ``_SELECTION_DOCS`` (so at the default batch
+    size they share one media batch) and its media store."""
+    out = str(tmp_path_factory.mktemp("selection") / "corpus")
+    os.makedirs(os.path.join(out, "documents"))
+    os.makedirs(os.path.join(out, "media"))
+    media = {}
+    for i, ref in enumerate(["m-a-good", "m-b-1", "m-b-2", "m-c-shared",
+                             "m-d-0", "m-f-0", "m-f-1"]):
+        media[ref] = _make_media_payload(_doc_rng(31, i), "Opus One", 2019)
+    media["m-a-corrupt"] = media["m-a-good"][:40]
+    docs = [{"doc_id": d, "spans": [
+        {"kind": k, "text": "" if k == "media" else v,
+         "media_ref": v if k == "media" else "", "offset": o}
+        for k, v, o in spans]} for d, spans, _keep in _SELECTION_DOCS]
+    pq.write_table(pa.Table.from_pylist(docs, schema=DOC_SCHEMA),
+                   os.path.join(out, "documents", "part-0000.parquet"))
+    refs = sorted(media)
+    pq.write_table(pa.Table.from_arrays(
+        [pa.array(refs, pa.string()),
+         pa.array([media[r] for r in refs], pa.binary())],
+        schema=MEDIA_SCHEMA), os.path.join(out, "media", "part-0000.parquet"))
+    return out, media
+
+
+def _record_key(r):
+    """Records of one doc_id differ in their span offsets."""
+    return r["doc_id"], tuple(s["order"] for s in r["spans"])
+
+
+@pytest.mark.parametrize("media_batch_size", [1, 1024])
+def test_doc_rows_compute_only_the_kept_blob(ray_session, selection_corpus,
+                                             media_batch_size):
+    """The doc-row media stage computes one blob per doc row with a
+    decodable media span, on the span the record keeps (first decoded
+    one by offset, then media_ref), and its records equal those
+    assembled from the span-row ``MediaExtract``, which blobs every
+    decodable media row."""
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.stages.media import (DocMediaExtract,
+                                                 MediaExtract)
+    from wine_label_ocr_ray.stages.reassemble import assemble_docs
+    from wine_label_ocr_ray.stages.spans import (nest_spans, span_rows_of,
+                                                 text_doc_rows)
+
+    corpus, _media = selection_corpus
+    media_path = os.path.join(corpus, "media")
+    docs = text_doc_rows(pq.read_table(
+        os.path.join(corpus, "documents", "part-0000.parquet")))
+    span_rows = MediaExtract(media_path)(span_rows_of(docs))
+    assert sum(b is not None for b in span_rows.column("blob").to_pylist()) \
+        == 9  # every decodable media row
+    want = sorted(assemble_docs(nest_spans(docs, span_rows)).to_pylist(),
+                  key=_record_key)
+
+    stage = DocMediaExtract(media_path)
+    out = pa.concat_tables(
+        stage(docs.slice(i, media_batch_size))
+        for i in range(0, docs.num_rows, media_batch_size))
+    for row, (_d, _spans, keep) in zip(out.to_pylist(), _SELECTION_DOCS):
+        blobbed = [s for s in row["spans"] if s["blob"] is not None]
+        assert [s["media_ref"] for s in blobbed] == \
+            ([keep] if keep else []), row["doc_id"]
+        if keep == "m-c-shared":
+            assert blobbed[0]["offset"] == 1
+    assert sorted(assemble_docs(out).to_pylist(), key=_record_key) == want
+
+    cfg = PipelineConfig(media_batch_size=media_batch_size)
+    assert sorted(build_extract_pipeline(corpus, cfg).take_all(),
+                  key=_record_key) == want
+
+
+def test_crop_label_blob_through_doc_rows(ray_session, selection_corpus):
+    """With ``crop_label=True`` each record's blob is the kept payload's
+    blob over its detector-cropped ROI: the detections go to the blob
+    leg in step with the images it keeps."""
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.stages.reassemble import EMPTY_BLOB
+    from wine_label_ocr_ray.state.engines import (BlobAnalyzer,
+                                                  SyntheticDetectEngine)
+    from wine_label_ocr_ray.synth import decode_payload
+
+    corpus, media = selection_corpus
+    keep_of = {(d, tuple(sorted(o for *_, o in spans))): keep
+               for d, spans, keep in _SELECTION_DOCS}
+    recs = build_extract_pipeline(
+        corpus, PipelineConfig(crop_label=True)).take_all()
+    assert len(recs) == len(keep_of)
+    analyzer, detect = BlobAnalyzer(crop_label=True), SyntheticDetectEngine()
+    cropped = 0
+    for r in recs:
+        keep = keep_of[_record_key(r)]
+        if keep is None:
+            assert r["blob"] == EMPTY_BLOB
+            continue
+        header, gray = decode_payload(media[keep])
+        want = analyzer.analyze(gray, detect.detect(header))
+        assert r["blob"] == want, r["doc_id"]
+        cropped += want["roi_shape"] != list(gray.shape)
+    assert cropped  # the crop changed some ROI
+
+
 def test_queries_on_fully_empty_tables(ray_session, tmp_path):
     """Zero-row input tables (the degenerate partition case) must flow
     through as typed-empty results, not KeyError on the column-less

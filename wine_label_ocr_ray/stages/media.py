@@ -17,9 +17,14 @@ straight from the parquet read (``MediaStore.fetch_column``), are
 decoded in place (``synth.decode_payloads``: one header parse, pixels
 never copied), and every engine is called once per batch through its
 batch method (``state/engines.py``). ``route_media`` routes all
-detections of the batch as one flat (payload, detection) table, and the
-blob leg runs the batch's images, grouped by shape, through the batch
-kernel (``BlobAnalyzer.analyze_column``). Every output column is built
+detections of the batch as one flat (payload, detection) table. The
+blob leg (``BlobAnalyzer.analyze_column``: images grouped by shape
+through the batch kernel) runs only on the image each doc's record
+keeps, the payload of the doc's first media row, by (offset,
+media_ref), that decoded; every other media row gets a null blob, and
+record assembly (``reassemble``) picks that same row. The span-row
+``__call__`` takes each row as a doc of its own, so there every media
+row whose payload decoded gets its blob. Every output column is built
 as an Arrow array and spliced into the batch.
 
 Field-routing semantics are an exact port of ``_extract_fields``
@@ -37,7 +42,7 @@ code.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -45,7 +50,7 @@ import pyarrow.compute as pc
 
 from ..functions import text as T
 from ..functions.imaging import pad_boxes
-from ..schema import BLOB_STRUCT, RAW_ENTRY_STRUCT, RAW_TYPE
+from ..schema import RAW_ENTRY_STRUCT, RAW_TYPE
 from ..sources.media import MediaStore
 from ..state.engines import BlobAnalyzer, Detections, resolve_engines
 # decode_payload: the one-payload decode, looked up here by callers
@@ -65,19 +70,29 @@ _SPLICED = ("span_text", "maker_name", "raw", "vintage_str",
 _MEDIA_ONLY = frozenset(_SPLICED) - {"span_text", "vintage_by_yolo"}
 
 
+def segment_sums(values: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """The sum of each segment ``values[starts[i]:starts[i] +
+    lengths[i]]``, added left to right onto 0.0 as Python's ``sum`` of
+    floats adds them (up to Python 3.11; 3.12 compensates), one column
+    of the segments at a time."""
+    total = np.zeros(len(lengths))
+    for j in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > j)
+        total[rows] += values[starts[rows] + j]
+    return total
+
+
 def _segment_means(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``float(np.mean(v))`` of each consecutive segment of ``values``
     (0.0 for an empty one), bit for bit. Below 8 values ``np.mean``
     adds left to right onto 0.0, so short segments are summed one
     column at a time; longer ones call ``np.mean`` itself."""
     starts = np.cumsum(lengths) - lengths
-    total = np.zeros(len(lengths))
     short = lengths < 8
-    for j in range(int(lengths[short].max(initial=0))):
-        rows = np.flatnonzero(short & (lengths > j))
-        total[rows] += values[starts[rows] + j]
     out = np.zeros(len(lengths))
-    np.divide(total, lengths, out=out, where=lengths > 0)
+    np.divide(segment_sums(values, starts, lengths * short), lengths,
+              out=out, where=lengths > 0)
     for i in np.flatnonzero(~short).tolist():
         out[i] = np.mean(values[starts[i]:starts[i] + lengths[i]])
     return out
@@ -104,7 +119,7 @@ def _lists(values: pa.Array, group: np.ndarray, n: int) -> pa.Array:
     return pa.ListArray.from_arrays(pa.array(offsets), values)
 
 
-def _per_text(fn: Callable[[str], str], texts: pa.Array) -> pa.Array:
+def per_text(fn: Callable[[str], str], texts: pa.Array) -> pa.Array:
     """``fn`` of every text, called once per distinct text."""
     codes = pc.dictionary_encode(texts)
     return pc.array_take(
@@ -115,6 +130,18 @@ def _per_text(fn: Callable[[str], str], texts: pa.Array) -> pa.Array:
 def _take(values: pa.Array, idx: np.ndarray) -> pa.Array:
     """``values[idx]``, null where idx < 0."""
     return pc.array_take(values, pa.array(idx, mask=idx < 0))
+
+
+def first_longest(texts: pa.Array, group: np.ndarray, n: int) -> pa.Array:
+    """Per group g in 0..n-1: the first, in order, of the longest texts
+    of at least 2 characters among ``texts[k]`` with ``group[k] == g``
+    (the longest-maker update rule, ``final_run_ocr.py:321-324``); null
+    where there is none."""
+    length = pc.fill_null(pc.utf8_length(texts), 0).to_numpy(
+        zero_copy_only=False)
+    cand = np.flatnonzero(length >= 2)
+    cand = cand[np.lexsort((cand, -length[cand], group[cand]))]
+    return _take(texts, _pick(group, cand, n))
 
 
 def _said(texts: pa.Array) -> np.ndarray:
@@ -162,15 +189,12 @@ def route_media(decoded: Sequence[Dict], dets: Detections,
 
     # maker: the first of each payload's longest cleaned maker texts
     mk = np.flatnonzero(is_maker)
-    cleaned = _per_text(T.clean_maker_crop, pc.array_take(txt, mk))
-    length = pc.utf8_length(cleaned).to_numpy(zero_copy_only=False)
-    cand = np.flatnonzero(length >= 2)
-    cand = cand[np.lexsort((cand, -length[cand], p[mk][cand]))]
-    maker_name = _take(cleaned, _pick(p[mk], cand, n))
+    cleaned = per_text(T.clean_maker_crop, pc.array_take(txt, mk))
+    maker_name = first_longest(cleaned, p[mk], n)
 
     # years, read only from maker and vintage texts
     ask = np.flatnonzero(is_maker | is_vint)
-    years = _per_text(T.extract_year_from_text, pc.array_take(txt, ask))
+    years = per_text(T.extract_year_from_text, pc.array_take(txt, ask))
     found = np.flatnonzero(pc.is_valid(years).to_numpy(zero_copy_only=False))
     year_of = np.full(m, -1, dtype=np.int64)
     year_of[ask[found]] = found
@@ -257,8 +281,7 @@ def _error_fields(reasons: List[str]) -> Dict[str, pa.Array]:
                              for r in reasons], RAW_TYPE),
             "vintage_str": pa.nulls(k, pa.string()),
             "vintage_by_yolo": pa.array(np.zeros(k, dtype=bool)),
-            "barcode": pa.nulls(k, pa.string()),
-            "blob": pa.nulls(k, BLOB_STRUCT)}
+            "barcode": pa.nulls(k, pa.string())}
 
 
 def raw_to_entries(raw: Dict) -> List[Dict]:
@@ -296,9 +319,14 @@ class MediaExtract:
         self.pad = pad
         self.sweep_max_variants = sweep_max_variants
 
-    def _fields(self, refs: pa.Array) -> Dict[str, pa.Array]:
-        """The spliced fields of the media rows of ``refs``, one array
-        each. Every distinct payload is decoded and routed once."""
+    def _fields(self, refs: pa.Array, offset: pa.Array,
+                doc: np.ndarray) -> Dict[str, pa.Array]:
+        """The spliced fields of the media rows of ``refs``, at
+        ``offset`` in doc ``doc``, one array each. Every distinct
+        payload is decoded and routed once. Only the blob a doc's record
+        keeps is computed: that of its first media row, by (offset,
+        media_ref), whose payload decoded, the row ``reassemble`` picks;
+        every other row's blob is null."""
         payloads, at = self.store.fetch_column(refs)
         at = pc.fill_null(at, -1).to_numpy().astype(np.int64)
         dec = decode_payloads(payloads)
@@ -309,15 +337,30 @@ class MediaExtract:
             headers, dets, lambda j: dec.gray(ok[j]),
             ocr_engine=self.ocr_engine, barcode_engine=self.barcode_engine,
             pad=self.pad, sweep_max_variants=self.sweep_max_variants)
-        fields["blob"] = self.blob_analyzer.analyze_column(
-            dec.grays(ok),
-            dets.per_image(len(ok)) if self.blob_analyzer.crop_label
-            else None)
         # each media row's position in ``fields``; -1 where its payload
         # is missing or cannot be decoded
         routed = np.full(len(payloads) + 1, -1, dtype=np.int64)
         routed[ok] = np.arange(len(ok))
         pos = routed[at]
+
+        # the blob leg, on each doc's first decoded row only
+        good = np.flatnonzero(pos >= 0)
+        first = good[pc.sort_indices(
+            pa.table({"d": doc[good], "o": offset.take(good),
+                      "m": refs.take(good)}),
+            sort_keys=[(c, "ascending") for c in "dom"]).to_numpy()]
+        first = first[np.diff(doc[first], prepend=-1) != 0]
+        need, blob_of = np.unique(pos[first], return_inverse=True)
+        dets_of = (dets.per_image(len(ok)) if self.blob_analyzer.crop_label
+                   else None)
+        blobs = self.blob_analyzer.analyze_column(
+            dec.grays(ok[need]),
+            None if dets_of is None else [dets_of[i] for i in need.tolist()])
+        blob_at = np.full(len(pos), -1, dtype=np.int64)
+        blob_at[first] = blob_of
+        if not np.array_equal(blob_at, np.arange(len(pos))):
+            blobs = _take(blobs, blob_at)
+
         bad = np.flatnonzero(pos < 0)
         if len(bad):
             # poison-pill rows: a missing or undecodable payload costs
@@ -326,21 +369,28 @@ class MediaExtract:
                                     else "corrupt_media"
                                     for i in bad.tolist()])
             pos[bad] = len(ok) + np.arange(len(bad))
-            fields = {name: pa.concat_arrays([fields[name], errors[name]])
-                      for name in _SPLICED}
-        if np.array_equal(pos, np.arange(len(ok))):
-            # every row its own payload, in order: the common case
-            return fields
-        pos = pa.array(pos)
-        return {name: fields[name].take(pos) for name in _SPLICED}
+            fields = {name: pa.concat_arrays([col, errors[name]])
+                      for name, col in fields.items()}
+        if not np.array_equal(pos, np.arange(len(ok))):
+            # some row is not its own payload in order: take per row
+            pos = pa.array(pos)
+            fields = {name: col.take(pos) for name, col in fields.items()}
+        return dict(fields, blob=blobs)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table,
+                 doc: Optional[np.ndarray] = None) -> pa.Table:
+        """``batch`` (span rows) with its media rows' fields spliced in.
+        ``doc`` is the doc of each row; by default each row is a doc of
+        its own, so every media row whose payload decoded gets its
+        blob."""
         mask_np = pc.equal(batch.column("kind"), _MEDIA).to_numpy(
             zero_copy_only=False)
         if not mask_np.any():
             return batch
         media_idx = np.flatnonzero(mask_np)
-        vals = self._fields(batch.column("media_ref").take(media_idx))
+        vals = self._fields(batch.column("media_ref").take(media_idx),
+                            batch.column("offset").take(media_idx),
+                            media_idx if doc is None else doc[media_idx])
 
         # splice the media rows' values in — no full-column python
         # round-trips for the (large) text-span columns
@@ -373,7 +423,10 @@ class MediaExtract:
 
 class DocMediaExtract(MediaExtract):
     """``MediaExtract`` over doc rows: flattens the batch's nested span
-    rows, runs the span-row ``__call__`` and re-nests them."""
+    rows, runs the span-row ``__call__`` with each row's doc and
+    re-nests them."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return nest_spans(batch, super().__call__(span_rows_of(batch)))
+        doc = pc.list_parent_indices(one_array(batch.column("spans")))
+        return nest_spans(batch, super().__call__(span_rows_of(batch),
+                                                  doc.to_numpy()))

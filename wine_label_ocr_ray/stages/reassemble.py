@@ -27,9 +27,14 @@ Arrow column: one stable ``pc.sort_indices`` over (record, offset,
 kind, media_ref or "") — Arrow compares UTF-8 bytes, i.e. Python's
 code-point order — a zero-copy ``ListArray`` of the sorted spans, and
 numpy "first row per record where a mask holds" picks for vintage,
-barcode and blob. Python runs only where no Arrow kernel fits: the
-maker/raw/confidence merge over each record's MEDIA rows, and
-custom_id/key/record_id/valid (sha1) once per distinct
+barcode and blob (on doc rows the media stage computed only the blob
+this pick lands on). The media merge is column operations too: the
+first longest maker by a numpy pick, the raw entries by one stable
+regroup on (record, the bucket's first appearance), and the mean
+confidence summed left to right per record. Python runs only
+``normalize_maker`` once per distinct maker text,
+``extract_best_maker_from_raw`` for records whose normalized maker is
+empty, and custom_id/key/record_id/valid (sha1) once per distinct
 (maker_norm, vintage) pair.
 
 The flagship plan carries one row per doc (stages/spans.py), so
@@ -48,10 +53,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import text as T
-from ..schema import BLOB_STRUCT, OUT_SPAN_STRUCT, RAW_TYPE, RECORD_SCHEMA
+from ..schema import BLOB_STRUCT, OUT_SPAN_STRUCT, RECORD_SCHEMA
 from .bucketing import hash_mod
-from .media import raw_to_entries
-from .spans import SPAN_ROW_SCHEMA, one_array, span_rows_of
+from .media import per_text, first_longest, segment_sums
+from .spans import SPAN_ROW_SCHEMA, one_array, replace_rows, span_rows_of
 
 # Sentinel for documents with no media span (reference records carry
 # BlobData = {} when the blob leg never ran, WineTracker.py:28).
@@ -59,34 +64,16 @@ EMPTY_BLOB = {"roi_shape": [0, 0], "blob_count": 0,
               "blob_fingerprint": "", "blobs": []}
 
 
-def _merge_raw(entries) -> Dict[str, List]:
-    """(bucket, text, conf) RAW entries in offset order -> the reference's
-    candidate map: setdefault-merge in dict insertion order; a NULL conf
-    marks a bare-string bucket value (vintage_from_fallback)."""
-    merged: Dict[str, List] = {}
-    for bucket, text, conf in entries:
-        if conf is None:  # bare string bucket
-            merged.setdefault(bucket, text)
+def _raw_map(entries: List[Dict]) -> Dict:
+    """A record's merged RAW entries -> the reference's candidate map
+    (what ``raw_to_entries`` flattened)."""
+    raw: Dict = {}
+    for e in entries:
+        if e["conf"] is None:
+            raw[e["bucket"]] = e["text"]
         else:
-            merged.setdefault(bucket, []).append((text, conf))
-    return merged
-
-
-def _media_merge(makers: List, entries):
-    """One record's media-row makers and RAW entries (offset order) ->
-    (maker_norm, typed raw entries, mean OCR confidence)."""
-    maker_raw = None
-    for m in makers:
-        if m and len(m) >= 2 and (not maker_raw or len(m) > len(maker_raw)):
-            maker_raw = m
-    merged = _merge_raw(entries)
-    maker_norm = T.normalize_maker(maker_raw) if maker_raw else ""
-    if not maker_norm:
-        maker_norm = T.extract_best_maker_from_raw(merged)
-    confs = [c for arr in merged.values() if isinstance(arr, list)
-             for (_t, c) in arr]
-    return (maker_norm, raw_to_entries(merged),
-            (sum(confs) / len(confs)) if confs else 0.0)
+            raw.setdefault(e["bucket"], []).append((e["text"], e["conf"]))
+    return raw
 
 
 def _key_fields(maker_norm: str, vintage_str: str):
@@ -144,25 +131,53 @@ def _records(rows: pa.Table, rec: np.ndarray, doc_id: pa.Array) -> pa.Table:
                 pc.and_(is_kind["media"], col["blob"].is_valid()),
                 default=len(col["blob"]))
 
-    # maker/raw/confidence: Python over the media rows of each record
+    # maker: the first of each record's longest media makers, normalized
+    # once per distinct text
     m_pos = sorted_pos(is_kind["media"])
     m_rec = s_rec[m_pos]
-    makers = pc.take(col["maker_name"], order[m_pos]).to_pylist()
+    maker_norm = pc.fill_null(per_text(T.normalize_maker, first_longest(
+        pc.take(col["maker_name"], order[m_pos]), m_rec, n)), "")
+
+    # raw: the media rows' entries in sorted order, regrouped per record
+    # by each bucket's first appearance (the candidate map's insertion
+    # order); a bucket keeps its list entries or, where its first entry
+    # is a bare string (NULL conf), that entry alone: setdefault-merge
     raw_m = pc.take(col["raw"], order[m_pos])
-    triples = list(zip(*(pc.struct_field(raw_m.flatten(), f).to_pylist()
-                         for f in ("bucket", "text", "conf"))))
-    ent = np.r_[0, np.cumsum(pc.fill_null(pc.list_value_length(raw_m),
-                                          0))].tolist()
-    starts = np.flatnonzero(np.diff(m_rec, prepend=-1)).tolist()
-    norms, raws, conf = [""] * n, [[]] * n, np.zeros(n)
-    for a, b in zip(starts, starts[1:] + [len(m_pos)]):
-        r = m_rec[a]
-        norms[r], raws[r], conf[r] = _media_merge(makers[a:b],
-                                                  triples[ent[a]:ent[b]])
+    entries = raw_m.flatten()
+    e_rec = m_rec[pc.list_parent_indices(raw_m).to_numpy()]
+    bucket = pc.dictionary_encode(pc.struct_field(entries, "bucket"),
+                                  null_encoding="encode").indices.to_numpy()
+    _, first, inverse = np.unique(e_rec * (bucket.max(initial=0) + 1)
+                                  + bucket, return_index=True,
+                                  return_inverse=True)
+    first = first[inverse]
+    conf = pc.struct_field(entries, "conf")
+    bare = pc.is_null(conf).to_numpy(zero_copy_only=False)
+    keep = (first == np.arange(len(first))) | ~(bare | bare[first])
+    merged = np.argsort(first, kind="stable")
+    merged = merged[keep[merged]]
+    lengths = np.bincount(e_rec[merged], minlength=n)
+    raw = pa.ListArray.from_arrays(
+        np.r_[0, np.cumsum(lengths)].astype(np.int32), entries.take(merged))
+
+    # mean_ocr_conf: the merged list entries' confs summed in that order
+    listed = merged[~bare[merged]]
+    count = np.bincount(e_rec[listed], minlength=n)
+    mean_conf = np.zeros(n)
+    np.divide(segment_sums(conf.to_numpy(zero_copy_only=False)[listed],
+                           np.cumsum(count) - count, count),
+              count, out=mean_conf, where=count > 0)
+
+    # no media maker: the longest candidate over the merged raw buckets
+    redo = np.flatnonzero((pc.binary_length(maker_norm).to_numpy() == 0)
+                          & (lengths > 0))
+    if len(redo):
+        maker_norm = replace_rows(maker_norm, redo, pa.array(
+            [T.extract_best_maker_from_raw(_raw_map(e))
+             for e in raw.take(redo).to_pylist()], pa.string()))
 
     # key = canonical_key as one Arrow column (maker_norm never holds a
     # "|"); the other key fields in Python once per distinct key
-    maker_norm = pa.array(norms, pa.string())
     key = pc.binary_join_element_wise(maker_norm,
                                       pc.fill_null(vintage_str, ""), "|")
     keys = pc.dictionary_encode(key)
@@ -173,8 +188,8 @@ def _records(rows: pa.Table, rec: np.ndarray, doc_id: pa.Array) -> pa.Table:
            for i, f in enumerate(("custom_id", "maker_name", "vintage",
                                   "record_id", "valid"))}
     out.update(doc_id=doc_id, spans=spans, maker_norm=maker_norm, key=key,
-               barcode=barcode, mean_ocr_conf=pa.array(conf), blob=blob,
-               raw=pa.array(raws, RAW_TYPE))
+               barcode=barcode, mean_ocr_conf=pa.array(mean_conf),
+               blob=blob, raw=raw)
     return pa.Table.from_pydict(out, schema=RECORD_SCHEMA)
 
 

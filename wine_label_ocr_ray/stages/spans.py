@@ -35,6 +35,9 @@ from ..schema import BLOB_STRUCT, RAW_TYPE
 #
 # raw = the reference's ocr_raw candidate map in schema.RAW_TYPE's
 # list-of-struct-with-bucket form (see schema.py for the encoding).
+# blob = the media row's blob; on doc rows only the one each record
+# keeps (its doc's first media row, by offset, whose payload decoded)
+# is computed, every other media row's is null.
 SPAN_ROW_FIELDS = [
     ("doc_id", pa.string()),
     ("offset", pa.int32()),
@@ -107,8 +110,8 @@ def _rows_with(arr: pa.Array, hits: Callable[[np.ndarray], np.ndarray]
     return np.unique(np.searchsorted(off, pos, side="right") - 1)
 
 
-def _replace_rows(arr: pa.Array, rows: np.ndarray,
-                  values: pa.Array) -> pa.Array:
+def replace_rows(arr: pa.Array, rows: np.ndarray,
+                 values: pa.Array) -> pa.Array:
     """``arr`` with its ``rows`` (sorted) replaced by ``values``."""
     mask = np.zeros(len(arr), dtype=bool)
     mask[rows] = True
@@ -193,7 +196,7 @@ def _strip_markup_vec(arr: pa.Array) -> pa.Array:
         part = out.take(rest)
         for src, dst in T.ENTITY_ORDER:
             part = pc.replace_substring(part, pattern=src, replacement=dst)
-        out = _replace_rows(out, rest, pc.replace_substring_regex(
+        out = replace_rows(out, rest, pc.replace_substring_regex(
             part, pattern=_WS_RUN, replacement=" "))
     return pc.utf8_trim_whitespace(out)
 
@@ -273,7 +276,7 @@ def _text_years(cleaned: pa.Array, is_text: np.ndarray) -> pa.Array:
         n, pa.py_buffer(offsets), pa.py_buffer(digits),
         pa.array(has).buffers()[1], n - int(offsets[-1]) // 4)
     if len(non_ascii):
-        years = _replace_rows(years, non_ascii, pa.array(
+        years = replace_rows(years, non_ascii, pa.array(
             [T.extract_year_from_text(t)
              for t in cleaned.take(non_ascii).to_pylist()], pa.string()))
     return years
@@ -306,9 +309,13 @@ def extract_text_spans(batch: pa.Table) -> pa.Table:
 
 def span_rows_of(docs: pa.Table) -> pa.Table:
     """Doc rows (``spans``: list of ``SPAN_ROW_FIELDS`` structs) ->
-    their span rows in doc order, zero-copy."""
-    spans = one_array(docs.column("spans"))
-    return pa.Table.from_struct_array(spans.flatten())
+    their span rows in doc order, zero-copy. The struct's fields are
+    sliced one by one: ``Table.from_struct_array`` keeps a sliced
+    struct's whole children, which on a slice that starts at the first
+    doc row makes columns longer than the table."""
+    rows = one_array(docs.column("spans")).flatten()
+    return pa.Table.from_arrays(rows.flatten(),
+                                names=[f.name for f in rows.type])
 
 
 def nest_spans(docs: pa.Table, rows: pa.Table) -> pa.Table:
