@@ -6,9 +6,11 @@ the deterministic interleaved corpus of $WLOR_BENCH_DOCS docs, default
 150,000) in a fresh Ray session of $RAY_GRAFT_CPUS CPUs (default 32):
 a warm-up run over 1/8 of the shards, then the best of two timed runs,
 with per-operator wall/CPU seconds and output rows from Ray Data's
-structured stats. Then, in a second fresh session, the sf-dir corpus
-derivation and the ``BENCH_QUERIES`` over the sf0.1 test data or
-$GRAFT_SF_DIR; WLOR_BENCH_QUERIES=skip leaves both out.
+structured stats; ``media_cpu_ms_per_doc`` is the one actor operator's
+CPU per doc, which covers the text leg, the media leg and assembly.
+Then, in a second fresh session, the sf-dir corpus derivation and the
+``BENCH_QUERIES`` over the sf0.1 test data or $GRAFT_SF_DIR;
+WLOR_BENCH_QUERIES=skip leaves both out.
 
 ``python bench.py --checkpointed``: one checkpointed flagship run (one
 streaming execution, per-shard commits) over 20,000 docs in 8 shards.
@@ -156,7 +158,8 @@ def run_flagship(num_cpus: int, docs: int, runs: int = 2,
             v["cpu_total_s"] for v in stats.values()), 2),
         "stage_wall_total_s": round(sum(
             v["wall_total_s"] for v in stats.values()), 2),
-        # per doc, not per output row: the media engines' unit cost
+        # per doc, not per output row: the actor's text, media and
+        # assembly cost
         "media_cpu_ms_per_doc": round(1e3 * media_cpu / docs, 3),
         "media_pool": pool,
     }

@@ -69,8 +69,8 @@ def test_blob_fingerprints_equal(pipeline_records, expected):
 
 
 def test_plan_has_no_all_to_all_operator(ray_session, corpus):
-    """Doc rows carry every span of a doc, so the flagship plan needs
-    no exchange: no Sort, Aggregate or Repartition operator."""
+    """Each batch holds whole documents, so the flagship plan needs no
+    exchange: no Sort, Aggregate or Repartition operator."""
     def names(op):
         yield op.name
         for dep in op.input_dependencies:
@@ -81,27 +81,90 @@ def test_plan_has_no_all_to_all_operator(ray_session, corpus):
                 if n.split("(")[0] in ("Sort", "Aggregate", "Repartition")]
 
 
-def test_text_leg_runs_on_media_batches(ray_session, corpus):
-    """The text stage asks for the media stage's batch size, and the
-    optimizer still fuses the two into one operator: the text leg then
-    runs once per media batch, not once per read block."""
+def test_plan_is_one_actor_operator_from_documents_to_records(
+        ray_session, corpus, tmp_path):
+    """The read feeds one actor operator that turns each batch of
+    ``media_batch_size`` documents into records; with ``debug_out`` the
+    sink reads those records. No other map operator runs, so no span
+    row crosses an operator boundary."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
 
-    def walk(op):
-        yield op
-        for dep in op.input_dependencies:
-            yield from walk(dep)
-    cfg = PipelineConfig(media_batch_size=300)
-    ds = build_extract_pipeline(corpus, cfg)
-    stages = {op.name: op for op in walk(ds._logical_plan.dag)}
-    assert stages["MapBatches(text_doc_rows)"]._batch_size == 300
-    assert stages["MapBatches(DocMediaExtract)"]._batch_size == 300
-    fused = [op.name for op in walk(get_execution_plan(
-        ds._logical_plan).dag)]
-    assert any("MapBatches(text_doc_rows)->MapBatches(DocMediaExtract)"
-               in name for name in fused), fused
+    def chain(op):
+        names = [op.name]
+        while op.input_dependencies:
+            (op,) = op.input_dependencies
+            names.insert(0, op.name)
+        return names
+    ds = build_extract_pipeline(corpus, PipelineConfig(media_batch_size=300))
+    assert chain(ds._logical_plan.dag) == [
+        "ReadParquet", "MapBatches(DocMediaExtract)"]
+    assert ds._logical_plan.dag._batch_size == 300
+    physical = chain(get_execution_plan(ds._logical_plan).dag)
+    maps = [m for name in physical for m in name.split("->")
+            if m.startswith("MapBatches")]
+    assert maps == ["MapBatches(DocMediaExtract)"], physical
+
+    ds = build_extract_pipeline(corpus, PipelineConfig(
+        debug_out=str(tmp_path / "dbg")))
+    assert chain(ds._logical_plan.dag) == [
+        "ReadParquet", "MapBatches(DocMediaExtract)",
+        "MapBatches(DebugImageSink)"]
+
+
+def test_killed_media_actor_costs_nothing(ray_session, corpus, expected,
+                                          tmp_path):
+    """The media actor's process exits in its 2nd ``detect_batch`` call,
+    once: Ray Data restarts the actor and reruns its batch, and every
+    doc still makes exactly one record, equal to the oracle's. The
+    actor dies seconds after it started, when Ray no longer holds
+    creation arguments it did not inline; a restart that cannot start
+    fails the test at the timeout instead of hanging the session."""
+    import threading
+    import time
+
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.state.engines import (SyntheticBarcodeEngine,
+                                                  SyntheticDetectEngine,
+                                                  SyntheticOcrEngine)
+
+    marker = str(tmp_path / "killed")
+
+    # defined inside the test so cloudpickle ships them by value, with
+    # the engine classes they use: the actor imports nothing by name
+    class Detect(SyntheticDetectEngine):
+        calls = 0
+
+        def detect_batch(self, headers):
+            self.calls += 1
+            if self.calls == 2 and not os.path.exists(marker):
+                time.sleep(2)
+                open(marker, "w").close()
+                os._exit(1)
+            return super().detect_batch(headers)
+
+    def dying_engines(confidence_threshold: float = 0.01):
+        return (Detect(confidence_threshold), SyntheticOcrEngine(),
+                SyntheticBarcodeEngine())
+
+    ds = build_extract_pipeline(corpus, PipelineConfig(
+        engines=dying_engines, media_batch_size=16))
+    recs = []
+    run = threading.Thread(target=lambda: recs.extend(ds.take_all()),
+                           daemon=True)
+    run.start()
+    run.join(timeout=300)
+    assert not run.is_alive(), "the restarted actor never started"
+    assert os.path.exists(marker)
+    assert sorted(r["doc_id"] for r in recs) == sorted(expected)
+    for r in recs:
+        o = expected[r["doc_id"]]
+        assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                for s in r["spans"]] == [tuple(s) for s in o["spans"]]
+        for f in RECORD_FIELDS:
+            assert r[f] == o[f], f"{r['doc_id']}.{f}"
+        assert r["blob"] == o["blob"], r["doc_id"]
 
 
 # Driver for test_flagship_with_package_shipped_by_value_only: the repo

@@ -672,9 +672,10 @@ def _entry(bucket, text, conf):
                                 [0.1, 0.2, 1e-16] + [1.0 / 3] * 6])])], True)
 def test_assemble_docs_matches_rowwise_reference(docs, lead):
     """Doc rows (some without spans, doc_ids may repeat) plus a riding
-    ``path`` column: one record per doc row with spans, in input order,
-    with its own ``path``. The rows are a slice of a larger batch, with
-    (``lead``) or without a row before it."""
+    ``path`` column, and their span rows: one record per doc row with
+    spans, in input order, with its own ``path``. Docs and span rows
+    are slices of a larger batch, with (``lead``) or without a row
+    before them."""
     import numpy as np
     import pyarrow as pa
 
@@ -692,9 +693,12 @@ def test_assemble_docs_matches_rowwise_reference(docs, lead):
         "doc_id": pa.array([d for d, _s in padded], pa.string()),
         "spans": pa.ListArray.from_arrays(pa.array(offsets), values),
         "path": pa.array(paths, pa.string())}).slice(lead, len(docs))
+    first, last = offsets[[lead, lead + len(docs)]].tolist()
+    span_rows = pa.Table.from_struct_array(values).slice(first,
+                                                         last - first)
     want = [dict(_ref_record([dict(r, doc_id=d) for r in spans]), path=p)
             for (d, spans), p in zip(docs, paths[lead:]) if spans]
-    assert assemble_docs(table).to_pylist() == want
+    assert assemble_docs(table, span_rows).to_pylist() == want
 
 
 # --- vectorized text leg vs the scalar spec --------------------------

@@ -89,7 +89,8 @@ def test_repeated_doc_id_in_one_batch_gives_one_record_per_row():
     ``path`` (merging them made the output depend on where batch
     boundaries fall, and broke the ``path`` append)."""
     from wine_label_ocr_ray.stages.reassemble import assemble_docs
-    from wine_label_ocr_ray.stages.spans import text_doc_rows
+    from wine_label_ocr_ray.stages.spans import (explode_spans,
+                                                 extract_text_spans)
 
     docs = pa.Table.from_pylist([
         {"doc_id": "doc-dup", "spans": [
@@ -102,7 +103,8 @@ def test_repeated_doc_id_in_one_batch_gives_one_record_per_row():
              "offset": 1}]},
     ], schema=DOC_SCHEMA)
     docs = docs.append_column("path", pa.array(["part-0", "part-1"]))
-    recs = assemble_docs(text_doc_rows(docs)).to_pylist()
+    recs = assemble_docs(docs, extract_text_spans(explode_spans(docs))
+                         ).to_pylist()
     assert [(r["doc_id"], r["path"], r["vintage"],
              [s["text"] for s in r["spans"]]) for r in recs] == [
         ("doc-dup", "part-0", 2001, ["VINTAGE 2001"]),
@@ -270,39 +272,47 @@ def _record_key(r):
 @pytest.mark.parametrize("media_batch_size", [1, 1024])
 def test_doc_rows_compute_only_the_kept_blob(ray_session, selection_corpus,
                                              media_batch_size):
-    """The doc-row media stage computes one blob per doc row with a
-    decodable media span, on the span the record keeps (first decoded
-    one by offset, then media_ref), and its records equal those
-    assembled from the span-row ``MediaExtract``, which blobs every
-    decodable media row."""
+    """Given each span row's doc, the media stage computes one blob per
+    doc row with a decodable media span, on the span the record keeps
+    (first decoded one by offset, then media_ref), and its records
+    equal those assembled from the span-row ``MediaExtract`` without
+    docs, which blobs every decodable media row."""
+    import pyarrow.compute as pc
+
     from wine_label_ocr_ray.config import PipelineConfig
-    from wine_label_ocr_ray.stages.media import (DocMediaExtract,
-                                                 MediaExtract)
+    from wine_label_ocr_ray.stages.media import MediaExtract
     from wine_label_ocr_ray.stages.reassemble import assemble_docs
-    from wine_label_ocr_ray.stages.spans import (nest_spans, span_rows_of,
-                                                 text_doc_rows)
+    from wine_label_ocr_ray.stages.spans import (explode_spans,
+                                                 extract_text_spans)
 
     corpus, _media = selection_corpus
     media_path = os.path.join(corpus, "media")
-    docs = text_doc_rows(pq.read_table(
-        os.path.join(corpus, "documents", "part-0000.parquet")))
-    span_rows = MediaExtract(media_path)(span_rows_of(docs))
+    docs = pq.read_table(
+        os.path.join(corpus, "documents", "part-0000.parquet"))
+    stage = MediaExtract(media_path)
+    span_rows = stage(extract_text_spans(explode_spans(docs)))
     assert sum(b is not None for b in span_rows.column("blob").to_pylist()) \
         == 9  # every decodable media row
-    want = sorted(assemble_docs(nest_spans(docs, span_rows)).to_pylist(),
+    want = sorted(assemble_docs(docs, span_rows).to_pylist(),
                   key=_record_key)
 
-    stage = DocMediaExtract(media_path)
-    out = pa.concat_tables(
-        stage(docs.slice(i, media_batch_size))
-        for i in range(0, docs.num_rows, media_batch_size))
-    for row, (_d, _spans, keep) in zip(out.to_pylist(), _SELECTION_DOCS):
-        blobbed = [s for s in row["spans"] if s["blob"] is not None]
-        assert [s["media_ref"] for s in blobbed] == \
-            ([keep] if keep else []), row["doc_id"]
+    blobbed = [[] for _ in _SELECTION_DOCS]
+    records = []
+    for i in range(0, docs.num_rows, media_batch_size):
+        part = docs.slice(i, media_batch_size)
+        doc = pc.list_parent_indices(part.column("spans")).to_numpy()
+        out = stage(extract_text_spans(explode_spans(part)), doc)
+        for row, d in zip(out.to_pylist(), doc.tolist()):
+            if row["blob"] is not None:
+                blobbed[i + d].append(row)
+        records.append(assemble_docs(part, out))
+    for rows, (doc_id, _spans, keep) in zip(blobbed, _SELECTION_DOCS):
+        assert [s["media_ref"] for s in rows] == \
+            ([keep] if keep else []), doc_id
         if keep == "m-c-shared":
-            assert blobbed[0]["offset"] == 1
-    assert sorted(assemble_docs(out).to_pylist(), key=_record_key) == want
+            assert rows[0]["offset"] == 1
+    assert sorted(pa.concat_tables(records).to_pylist(),
+                  key=_record_key) == want
 
     cfg = PipelineConfig(media_batch_size=media_batch_size)
     assert sorted(build_extract_pipeline(corpus, cfg).take_all(),

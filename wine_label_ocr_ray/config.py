@@ -33,8 +33,8 @@ class PipelineConfig:
     blob_weights: Dict[str, float] = field(default_factory=dict)
 
     # physical execution. media_concurrency=None -> autosize to half the
-    # cluster CPUs (min 2): a pool reserving every CPU starves the read/
-    # assembly stages and the pipeline serializes (or deadlocks).
+    # cluster CPUs (min 2): a pool reserving every CPU starves the read
+    # and the pipeline serializes (or deadlocks).
     media_concurrency: Union[int, Tuple[int, int], None] = None
     # documents (not spans) per media-actor batch
     media_batch_size: int = 1024

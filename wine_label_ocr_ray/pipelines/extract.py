@@ -1,15 +1,10 @@
-"""Flagship extraction pipeline: read -> explode -> text extract ->
-media actor pool -> per-doc assembly -> records.
-
-One lazy ``ray.data.Dataset`` plan end to end (SURVEY.md section 3.1
-"new engine" sketch); the streaming executor pipelines the stages with
-backpressure. Consumers write/iterate — nothing here materializes the
-full dataset.
-
-Every stage carries one row per document (stages/spans.py): all spans
-of a doc are born in its row and stay there, so each batch holds whole
-documents and assembly is a plain map. The plan has no all-to-all
-operator.
+"""Flagship extraction pipeline: documents -> records in one lazy
+``ray.data.Dataset`` plan, ``ReadParquet -> MapBatches(DocMediaExtract)``
+(SURVEY.md section 3.1 "new engine" sketch). The actor explodes,
+extracts, routes the media and assembles each batch of whole documents
+in one call, so span rows never leave it and the plan has no all-to-all
+operator. Consumers write/iterate — nothing here materializes the full
+dataset.
 """
 
 from __future__ import annotations
@@ -17,13 +12,40 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..config import PipelineConfig
 from ..sources.documents import read_documents
-from ..stages.media import DocMediaExtract
+from ..stages.media import MediaExtract
 from ..stages.reassemble import assemble_docs
-from ..stages.spans import text_doc_rows
+from ..stages.spans import explode_spans, extract_text_spans
+
+
+class DocRecords(MediaExtract):
+    """Documents -> RECORD_SCHEMA records. The batch's span rows go
+    through the text leg, the span-row ``MediaExtract`` call (each row
+    with its doc) and assembly."""
+
+    def __call__(self, docs: pa.Table) -> pa.Table:
+        doc = pc.list_parent_indices(docs.column("spans")).to_numpy()
+        rows = extract_text_spans(explode_spans(docs))
+        return assemble_docs(docs, super().__call__(rows, doc))
+
+
+class DocMediaExtract:
+    """The flagship's actor: a ``DocRecords`` built from an ObjectRef
+    that lives as long as the Dataset. Ray Data passes an actor's class
+    among its creation arguments, and ``DocRecords`` pickles by value to
+    ~230 KB. Ray 2.49 frees a creation argument over its 100 KiB inline
+    limit once the actor is up, so a restarted actor could not start."""
+
+    def __init__(self, records_cls: "ray.ObjectRef", **kwargs):
+        self._records = ray.get(records_cls)(**kwargs)
+
+    def __call__(self, docs: pa.Table) -> pa.Table:
+        return self._records(docs)
 
 
 def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
@@ -60,26 +82,21 @@ def build_extract_pipeline(corpus_dir: str,
 
     concurrency = cfg.media_concurrency
     if concurrency is None:
-        import ray
         total_cpus = int(ray.cluster_resources().get("CPU", 4)) \
             if ray.is_initialized() else 4
         concurrency = autosize_pool(total_cpus, cfg.media_num_cpus)
 
     if doc_files is not None:
-        import ray.data as rd
-        docs = rd.read_parquet(doc_files, include_paths=True,
-                               override_num_blocks=cfg.override_num_blocks)
+        docs = ray.data.read_parquet(
+            doc_files, include_paths=True,
+            override_num_blocks=cfg.override_num_blocks)
     else:
         docs = read_documents(corpus_dir,
                               override_num_blocks=cfg.override_num_blocks)
-    # the text leg takes the media stage's batches: fused into one
-    # operator, the two then run once per batch of media_batch_size
-    # docs, not the text leg once per read block
-    docs = docs.map_batches(text_doc_rows, batch_format="pyarrow",
-                            batch_size=cfg.media_batch_size)
-    docs = docs.map_batches(
+    records = docs.map_batches(
         DocMediaExtract,
         fn_constructor_kwargs=dict(
+            records_cls=ray.put(DocRecords),
             media_path=media_path,
             confidence_threshold=cfg.confidence_threshold,
             pad=cfg.box_pad,
@@ -96,10 +113,10 @@ def build_extract_pipeline(corpus_dir: str,
     )
     if cfg.debug_out:
         from ..stages.debug_sink import DebugImageSink
-        docs = docs.map_batches(
+        records = records.map_batches(
             DebugImageSink,
             fn_constructor_kwargs=dict(media_path=media_path,
                                        out_dir=cfg.debug_out,
                                        min_blob_area=cfg.min_blob_area),
             batch_format="pyarrow", concurrency=1)
-    return docs.map_batches(assemble_docs, batch_format="pyarrow")
+    return records

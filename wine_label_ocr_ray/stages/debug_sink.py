@@ -9,7 +9,7 @@ layout (original ROI / text mask / blob overlay / stats panel), the
 dots, and the separate ``*_blobs_only`` overlay — rendered grayscale
 (cycling gray levels stand in for the reference's 8-color cycle) with
 a built-in 3x5 bitmap font instead of cv2.putText, written as binary
-PGM (zero deps). Doc rows pass through untouched.
+PGM (zero deps). Records pass through untouched.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pyarrow.compute as pc
 from ..functions.imaging import create_text_mask, extract_smart_blobs
 from ..sources.media import MediaStore
 from ..synth import decode_payloads
-from .spans import span_rows_of
 
 # --------------------------------------------------------------- font
 # 3x5 bitmap glyphs (rows of 3 bits, top to bottom) covering the
@@ -173,9 +172,9 @@ class DebugImageSink:
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.limit is not None and self._written >= self.limit:
             return batch
-        spans = span_rows_of(batch)
-        refs = spans.filter(pc.equal(spans.column("kind"), "media")) \
-            .column("media_ref").combine_chunks()
+        spans = pc.list_flatten(batch.column("spans"))
+        refs = pc.filter(pc.struct_field(spans, "media_ref"),
+                         pc.equal(pc.struct_field(spans, "kind"), "media"))
         payloads, at = self._store.fetch_column(refs)
         dec = decode_payloads(payloads)
         for ref, j in zip(refs.to_pylist(),

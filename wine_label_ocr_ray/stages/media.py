@@ -8,8 +8,10 @@ once per actor in ``__init__`` (the reference's module-global
 singletons, ``final_run_ocr.py:41-80``), each ``__call__`` processes an
 Arrow batch of span rows, fetching only that batch's payloads from the
 media store. Text rows pass through untouched (see stages/spans.py for
-the single-pass routing rationale). ``DocMediaExtract`` is the same
-actor over the flagship plan's doc rows.
+the single-pass routing rationale). The flagship's actor,
+``pipelines/extract.py::DocMediaExtract``, runs this call on the span
+rows of a batch of documents, each row with its doc, and assembles
+the records in the same call.
 
 One ``__call__`` is one columnar pass over the batch's media rows, with
 no loop over payloads: the payloads arrive as one Arrow binary column
@@ -22,8 +24,8 @@ blob leg (``BlobAnalyzer.analyze_column``: images grouped by shape
 through the batch kernel) runs only on the image each doc's record
 keeps, the payload of the doc's first media row, by (offset,
 media_ref), that decoded; every other media row gets a null blob, and
-record assembly (``reassemble``) picks that same row. The span-row
-``__call__`` takes each row as a doc of its own, so there every media
+record assembly (``reassemble``) picks that same row. Called without
+docs, ``__call__`` takes each row as a doc of its own, so every media
 row whose payload decoded gets its blob. Every output column is built
 as an Arrow array and spliced into the batch.
 
@@ -55,7 +57,7 @@ from ..sources.media import MediaStore
 from ..state.engines import BlobAnalyzer, Detections, resolve_engines
 # decode_payload: the one-payload decode, looked up here by callers
 from ..synth import decode_payload, decode_payloads  # noqa: F401
-from .spans import nest_spans, one_array, span_rows_of
+from .spans import one_array
 
 _MAKER_CLASSES = frozenset({"maker_name", "producer", "winery"})
 _VINTAGE_CLASSES = frozenset({"vintage", "year"})
@@ -420,13 +422,3 @@ class MediaExtract:
             out = out.set_column(field_idx, name, replaced)
         return out
 
-
-class DocMediaExtract(MediaExtract):
-    """``MediaExtract`` over doc rows: flattens the batch's nested span
-    rows, runs the span-row ``__call__`` with each row's doc and
-    re-nests them."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc = pc.list_parent_indices(one_array(batch.column("spans")))
-        return nest_spans(batch, super().__call__(span_rows_of(batch),
-                                                  doc.to_numpy()))

@@ -27,21 +27,21 @@ Arrow column: one stable ``pc.sort_indices`` over (record, offset,
 kind, media_ref or "") — Arrow compares UTF-8 bytes, i.e. Python's
 code-point order — a zero-copy ``ListArray`` of the sorted spans, and
 numpy "first row per record where a mask holds" picks for vintage,
-barcode and blob (on doc rows the media stage computed only the blob
-this pick lands on). The media merge is column operations too: the
-first longest maker by a numpy pick, the raw entries by one stable
-regroup on (record, the bucket's first appearance), and the mean
-confidence summed left to right per record. Python runs only
+barcode and blob (given each row's doc, the media stage computed only
+the blob this pick lands on). The media merge is column operations
+too: the first longest maker by a numpy pick, the raw entries by one
+stable regroup on (record, the bucket's first appearance), and the
+mean confidence summed left to right per record. Python runs only
 ``normalize_maker`` once per distinct maker text,
 ``extract_best_maker_from_raw`` for records whose normalized maker is
 empty, and custom_id/key/record_id/valid (sha1) once per distinct
 (maker_norm, vintage) pair.
 
-The flagship plan carries one row per doc (stages/spans.py), so
-``assemble_docs`` sees whole docs and needs no exchange;
-``assemble_bucket`` and ``add_bucket`` keep the span-row shuffle
-contract for the perfbench replay (``perfbench/replay.py``), their
-one caller outside the tests; no package pipeline uses them.
+The flagship's one actor call (``pipelines/extract.py``) runs
+``assemble_docs`` on the span rows of a batch of whole documents, so
+assembly needs no exchange. ``assemble_bucket`` and ``add_bucket``
+keep the span-row shuffle contract for the perfbench replay
+(``perfbench/replay.py``), their only caller outside the tests.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from ..functions import text as T
 from ..schema import BLOB_STRUCT, OUT_SPAN_STRUCT, RECORD_SCHEMA
 from .bucketing import hash_mod
 from .media import per_text, first_longest, segment_sums
-from .spans import SPAN_ROW_SCHEMA, one_array, replace_rows, span_rows_of
+from .spans import SPAN_ROW_SCHEMA, one_array, replace_rows
 
 # Sentinel for documents with no media span (reference records carry
 # BlobData = {} when the blob leg never ran, WineTracker.py:28).
@@ -211,17 +211,17 @@ def assemble_bucket(group: pa.Table) -> pa.Table:
     return _records(group, ids.indices.to_numpy(), ids.dictionary)
 
 
-def assemble_docs(docs: pa.Table) -> pa.Table:
-    """Doc rows -> RECORD_SCHEMA records, one per doc row with at least
-    one span, in input order (doc rows sharing a ``doc_id`` stay
+def assemble_docs(docs: pa.Table, rows: pa.Table) -> pa.Table:
+    """Documents and their span rows (in doc order, one per element of
+    each doc's ``spans``) -> RECORD_SCHEMA records, one per doc with at
+    least one span, in input order (docs sharing a ``doc_id`` stay
     separate records). Columns other than ``doc_id`` and ``spans`` (the
     source ``path`` of a checkpointed run) ride along."""
     lengths = pc.fill_null(pc.list_value_length(
         one_array(docs.column("spans"))), 0).to_numpy()
     keep = lengths > 0
     kept = docs.drop_columns(["spans"]).filter(pa.array(keep))
-    records = _records(span_rows_of(docs), np.repeat(np.cumsum(keep) - 1,
-                                                     lengths),
+    records = _records(rows, np.repeat(np.cumsum(keep) - 1, lengths),
                        one_array(kept.column("doc_id")))
     ride = kept.drop_columns(["doc_id"])
     return pa.Table.from_arrays(records.columns + ride.columns,

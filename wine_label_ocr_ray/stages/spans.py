@@ -1,20 +1,16 @@
-"""Stateless span stages: explode documents into span rows, run the
-vectorized text-span extractors, and nest span rows back under their
-documents.
+"""Stateless span stages: explode documents into span rows and run the
+vectorized text-span extractors.
 
 Design note (single-pass routing): Ray Data datasets are lazy plans —
 filtering one exploded dataset twice (text branch / media branch) would
 re-execute the read+explode per branch. Instead every stage sees all
 span rows; each stage transforms the rows of its kind and passes the
-others through untouched. At cluster scale that keeps the input
-single-read and lets the streaming executor pipeline the stages
-(SURVEY.md section 7.2).
+others through untouched, so the input is read once (SURVEY.md
+section 7.2).
 
-Design note (doc rows): between stages the flagship plan carries ONE
-row per document, its span rows nested as a list of
-``SPAN_ROW_FIELDS`` structs (``nest_spans``). Every batch boundary is then a document boundary, so
-the per-doc reassembly needs no exchange: each stage flattens its
-batch (``span_rows_of``), runs the span-row function and re-nests.
+Span rows live only inside the flagship's one actor call
+(``pipelines/extract.py::DocMediaExtract``), which turns a batch of
+documents into records, so no span row crosses an operator boundary.
 """
 
 from __future__ import annotations
@@ -28,16 +24,16 @@ import pyarrow.compute as pc
 from ..functions import text as T
 from ..schema import BLOB_STRUCT, RAW_TYPE
 
-# Intermediate span-row schema shared by the text and media stages.
-# raw + blob are TYPED Arrow columns carried between the stages
-# (features only, never pixels — SURVEY.md section 4.2 "never shuffle
-# wide rows"); no JSON serialize/parse anywhere on the flagship path.
+# Span-row schema shared by the text, media and assembly steps.
+# raw + blob are TYPED Arrow columns (features only, never pixels —
+# SURVEY.md section 4.2 "never shuffle wide rows"); no JSON
+# serialize/parse anywhere on the flagship path.
 #
 # raw = the reference's ocr_raw candidate map in schema.RAW_TYPE's
 # list-of-struct-with-bucket form (see schema.py for the encoding).
-# blob = the media row's blob; on doc rows only the one each record
-# keeps (its doc's first media row, by offset, whose payload decoded)
-# is computed, every other media row's is null.
+# blob = the media row's blob; given each row's doc, only the one each
+# record keeps (its doc's first media row, by offset, whose payload
+# decoded) is computed, every other media row's is null.
 SPAN_ROW_FIELDS = [
     ("doc_id", pa.string()),
     ("offset", pa.int32()),
@@ -305,36 +301,3 @@ def extract_text_spans(batch: pa.Table) -> pa.Table:
         batch.schema.get_field_index("span_text"), "span_text", span_text
     ).set_column(
         batch.schema.get_field_index("text_year"), "text_year", years)
-
-
-def span_rows_of(docs: pa.Table) -> pa.Table:
-    """Doc rows (``spans``: list of ``SPAN_ROW_FIELDS`` structs) ->
-    their span rows in doc order, zero-copy. The struct's fields are
-    sliced one by one: ``Table.from_struct_array`` keeps a sliced
-    struct's whole children, which on a slice that starts at the first
-    doc row makes columns longer than the table."""
-    rows = one_array(docs.column("spans")).flatten()
-    return pa.Table.from_arrays(rows.flatten(),
-                                names=[f.name for f in rows.type])
-
-
-def nest_spans(docs: pa.Table, rows: pa.Table) -> pa.Table:
-    """Replaces the ``spans`` column of ``docs`` with ``rows`` (span rows
-    in doc order, one per element of each doc's list) nested one list
-    per doc; every other column rides along untouched."""
-    spans = one_array(docs.column("spans"))
-    lengths = pc.fill_null(pc.list_value_length(spans), 0).to_numpy()
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
-    np.cumsum(lengths, out=offsets[1:])
-    values = pa.StructArray.from_arrays(
-        [one_array(rows.column(f.name)) for f in SPAN_ROW_SCHEMA],
-        fields=list(SPAN_ROW_SCHEMA))
-    return docs.set_column(docs.schema.get_field_index("spans"), "spans",
-                           pa.ListArray.from_arrays(pa.array(offsets),
-                                                    values))
-
-
-def text_doc_rows(docs: pa.Table) -> pa.Table:
-    """Read-side stage of the flagship plan: documents -> doc rows whose
-    span rows went through ``explode_spans`` and ``extract_text_spans``."""
-    return nest_spans(docs, extract_text_spans(explode_spans(docs)))

@@ -363,7 +363,7 @@ class BlobAnalyzer:
         in chunks of at most ``BLOB_CHUNK_BYTES`` pixels; the kept blobs
         stay columns, and the fingerprints of all ROIs are computed at
         once. The media stage passes only the images whose blob a
-        record keeps (on doc rows, at most one per doc)."""
+        record keeps (given each row's doc, at most one per doc)."""
         n = len(grays)
         if not n:
             return pa.array([], BLOB_STRUCT)
