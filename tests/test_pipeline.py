@@ -113,6 +113,40 @@ def test_plan_is_one_actor_operator_from_documents_to_records(
         "MapBatches(DebugImageSink)"]
 
 
+def test_read_blocks_align_with_media_batches(ray_session, corpus):
+    """With the default config a corpus under one media batch reads as
+    one block, neither split nor concatenated again in the actor, whose
+    4,096-document batches arrive without a copy. An explicit
+    ``override_num_blocks`` wins on both read paths."""
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.stages.checkpoint import discover_partitions
+
+    def read_of(ds):
+        op = get_execution_plan(ds._logical_plan).dag
+        while op.input_dependencies[0].input_dependencies:
+            (op,) = op.input_dependencies
+        return op
+
+    cfg = PipelineConfig()
+    ds = build_extract_pipeline(corpus, cfg)
+    media = ds._logical_plan.dag
+    assert media._batch_size == cfg.media_batch_size == 4096
+    assert media._zero_copy_batch
+    assert media.input_dependencies[0]._parallelism == 1
+    assert read_of(ds).name == "ReadParquet"
+    assert len(ds.take_all()) == 200
+    assert "ReadParquet: 1 tasks executed, 1 blocks produced" in ds.stats()
+
+    shards = discover_partitions(corpus)
+    for files in (None, shards):
+        ds = build_extract_pipeline(
+            corpus, PipelineConfig(override_num_blocks=5), doc_files=files)
+        assert ds._logical_plan.dag.input_dependencies[0]._parallelism == 5
+        assert read_of(ds).name == "ReadParquet->SplitBlocks(5)", files
+
+
 def test_killed_media_actor_costs_nothing(ray_session, corpus, expected,
                                           tmp_path):
     """The media actor's process exits in its 2nd ``detect_batch`` call,
@@ -191,13 +225,13 @@ def test_flagship_with_batch_only_engines(ray_session, corpus, expected):
     ``detect_batch``, ``ocr_boxes``, ``ocr_sweeps`` and ``scan_batch``,
     so every record still equals the oracle's."""
     from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.state.engines import (SyntheticBarcodeEngine,
+                                                  SyntheticDetectEngine,
+                                                  SyntheticOcrEngine)
 
-    # defined inside the test so cloudpickle ships it by value
+    # defined inside the test so cloudpickle ships it by value, with the
+    # engine classes it uses: the actor imports nothing by name
     def batch_only_engines(confidence_threshold: float = 0.01):
-        from wine_label_ocr_ray.state.engines import (
-            SyntheticBarcodeEngine, SyntheticDetectEngine,
-            SyntheticOcrEngine)
-
         def scalar(*args, **kwargs):
             raise AssertionError("scalar engine method called")
 

@@ -349,6 +349,102 @@ def test_crop_label_blob_through_doc_rows(ray_session, selection_corpus):
     assert cropped  # the crop changed some ROI
 
 
+@pytest.mark.parametrize("budget", [1, 3])
+def test_media_passes_equal_one_pass(selection_corpus, monkeypatch, budget):
+    """Ray-free: ``DocRecords`` cutting its batch into passes of at most
+    ``budget`` media spans gives the records of one pass over the batch,
+    and no pass holds more media spans than that unless it is one doc.
+    The batch holds the blob-selection docs (missing and corrupt
+    payloads, no media, a shared ``doc_id``) and a doc with five media
+    spans, more than either budget."""
+    from wine_label_ocr_ray.pipelines import extract
+
+    corpus, _media = selection_corpus
+    docs = pq.read_table(
+        os.path.join(corpus, "documents", "part-0000.parquet"))
+    heavy = pa.Table.from_pylist([{"doc_id": "doc-h", "spans": [
+        {"kind": "media", "text": "", "media_ref": ref, "offset": i}
+        for i, ref in enumerate(["m-f-1", "m-a-good", "m-b-2", "m-d-0",
+                                 "m-a-corrupt"])]}], schema=DOC_SCHEMA)
+    docs = pa.concat_tables([docs.slice(0, 3), heavy, docs.slice(3)])
+    docs = docs.append_column(
+        "path", pa.array([f"part-{i}" for i in range(docs.num_rows)]))
+    stage = extract.DocRecords(os.path.join(corpus, "media"))
+    assert extract.media_passes(docs).tolist() == [0, docs.num_rows]
+    want = stage(docs)
+
+    passes = []
+    fields = stage._fields
+
+    def counted(refs, offset, doc):
+        passes.append((len(refs), len(np.unique(doc))))
+        return fields(refs, offset, doc)
+
+    stage._fields = counted
+    monkeypatch.setattr(extract, "MEDIA_PASS_ROWS", budget)
+    got = stage(docs)
+    assert got.schema == want.schema
+    assert got.to_pylist() == want.to_pylist()
+    assert sum(n for n, _ in passes) == 18  # every media span, once
+    assert len(passes) > 1 and (5, 1) in passes
+    assert all(n <= budget or ndocs == 1 for n, ndocs in passes), passes
+
+
+def test_flagship_media_passes_match_oracle(ray_session, skewed_corpus,
+                                            monkeypatch, tmp_path):
+    """The flagship with ``MEDIA_PASS_ROWS`` patched to 3 before the
+    plan is built: the actor, which gets ``DocRecords`` by value, cuts
+    its one batch into passes of at most 3 media spans or one doc (each
+    pass detects its distinct payloads in one ``detect_batch`` call),
+    and every doc makes exactly one record, equal to the oracle's."""
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.pipelines import extract
+    from wine_label_ocr_ray.state.engines import (SyntheticBarcodeEngine,
+                                                  SyntheticDetectEngine,
+                                                  SyntheticOcrEngine)
+
+    log = str(tmp_path / "detect_batch_sizes")
+
+    # defined inside the test so cloudpickle ships them by value
+    class Detect(SyntheticDetectEngine):
+        def detect_batch(self, headers):
+            with open(log, "a") as f:
+                f.write(f"{len(headers)}\n")
+            return super().detect_batch(headers)
+
+    def logged_engines(confidence_threshold: float = 0.01):
+        return (Detect(confidence_threshold), SyntheticOcrEngine(),
+                SyntheticBarcodeEngine())
+
+    monkeypatch.setattr(extract, "MEDIA_PASS_ROWS", 3)
+    recs = build_extract_pipeline(
+        skewed_corpus, PipelineConfig(engines=logged_engines)).take_all()
+    expected = oracle_records(skewed_corpus)
+    assert sorted(r["doc_id"] for r in recs) == sorted(expected)
+    for r in recs:
+        o = expected[r["doc_id"]]
+        assert [(s["kind"], s["text"], s["media_ref"], s["order"])
+                for s in r["spans"]] == [tuple(s) for s in o["spans"]]
+        for f in ("custom_id", "maker_name", "maker_norm", "vintage",
+                  "barcode", "key", "record_id", "valid", "mean_ocr_conf",
+                  "raw"):
+            assert r[f] == o[f], (r["doc_id"], f)
+        assert r["blob"] == o["blob"], r["doc_id"]
+
+    # a pass over more than 3 payloads is one doc's, with more than 3
+    # media spans: the doc's distinct payloads
+    own_pass = []
+    for p in glob.glob(os.path.join(skewed_corpus, "documents", "*")):
+        for spans in pq.read_table(p).column("spans").to_pylist():
+            refs = [s["media_ref"] for s in spans if s["kind"] == "media"]
+            if len(refs) > 3 and len(set(refs)) > 3:
+                own_pass.append(len(set(refs)))
+    with open(log) as f:
+        sizes = [int(n) for n in f.read().split()]
+    assert 300 in own_pass
+    assert sorted(n for n in sizes if n > 3) == sorted(own_pass)
+
+
 def test_queries_on_fully_empty_tables(ray_session, tmp_path):
     """Zero-row input tables (the degenerate partition case) must flow
     through as typed-empty results, not KeyError on the column-less

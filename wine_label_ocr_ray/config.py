@@ -36,8 +36,11 @@ class PipelineConfig:
     # cluster CPUs (min 2): a pool reserving every CPU starves the read
     # and the pipeline serializes (or deadlocks).
     media_concurrency: Union[int, Tuple[int, int], None] = None
-    # documents (not spans) per media-actor batch
-    media_batch_size: int = 1024
+    # documents (not spans) per media-actor batch, and per read block
+    # when no override_num_blocks is given: the batch's fixed cost (read
+    # block, actor call, write task) is paid once per this many docs,
+    # while the actor bounds media memory by media spans per pass
+    media_batch_size: int = 4096
     media_num_cpus: float = 1.0
     override_num_blocks: Optional[int] = None
 

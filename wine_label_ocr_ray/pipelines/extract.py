@@ -5,33 +5,77 @@ extracts, routes the media and assembles each batch of whole documents
 in one call, so span rows never leave it and the plan has no all-to-all
 operator. Consumers write/iterate — nothing here materializes the full
 dataset.
+
+A batch is up to ``media_batch_size`` documents (4,096), and a parquet
+read plans one block per batch, so each batch pays the fixed cost of
+one read block, one actor call and one write task. Memory is bounded by
+media, not by documents: the actor cuts each batch between documents
+into media passes of at most ``MEDIA_PASS_ROWS`` media spans (a
+document with more is a pass of its own), and each pass runs the whole
+chain on its documents.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from ..config import PipelineConfig
 from ..sources.documents import read_documents
+from ..stages.checkpoint import discover_partitions
 from ..stages.media import MediaExtract
 from ..stages.reassemble import assemble_docs
-from ..stages.spans import explode_spans, extract_text_spans
+from ..stages.spans import explode_spans, extract_text_spans, one_array
+
+# media spans per pass of the media leg: what a 1,024-document batch of
+# the synthetic corpus mix holds (~2.1 per doc), so the 4,096-document
+# batch holds no more decoded media at a time than that batch did
+MEDIA_PASS_ROWS = 2048
+
+
+def media_passes(docs: pa.Table) -> np.ndarray:
+    """Cut points of ``docs`` into passes of whole documents holding at
+    most ``MEDIA_PASS_ROWS`` media spans each; a document with more is
+    a pass of its own. Starts with 0 and ends with ``len(docs)``."""
+    spans = one_array(docs.column("spans"))
+    media = pc.equal(pc.struct_field(pc.list_flatten(spans), "kind"),
+                     "media").to_numpy(zero_copy_only=False)
+    # before[k]: the media spans of docs[:k]
+    before = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pc.list_parent_indices(spans).to_numpy()[media],
+                          minlength=len(docs)), out=before[1:])
+    cuts = [0]
+    while cuts[-1] < len(docs):
+        end = np.searchsorted(before, before[cuts[-1]] + MEDIA_PASS_ROWS,
+                              side="right") - 1
+        cuts.append(max(cuts[-1] + 1, int(end)))
+    return np.array(cuts)
 
 
 class DocRecords(MediaExtract):
-    """Documents -> RECORD_SCHEMA records. The batch's span rows go
-    through the text leg, the span-row ``MediaExtract`` call (each row
-    with its doc) and assembly."""
+    """Documents -> RECORD_SCHEMA records, one media pass at a time
+    (``media_passes``). A pass's span rows go through the text leg, the
+    span-row ``MediaExtract`` call (each row with its doc) and
+    assembly."""
 
-    def __call__(self, docs: pa.Table) -> pa.Table:
+    def _pass(self, docs: pa.Table) -> pa.Table:
         doc = pc.list_parent_indices(docs.column("spans")).to_numpy()
         rows = extract_text_spans(explode_spans(docs))
         return assemble_docs(docs, super().__call__(rows, doc))
+
+    def __call__(self, docs: pa.Table) -> pa.Table:
+        cuts = media_passes(docs)
+        if len(cuts) <= 2:
+            return self._pass(docs)
+        return pa.concat_tables([self._pass(docs.slice(a, b - a))
+                                 for a, b in zip(cuts[:-1], cuts[1:])])
 
 
 class DocMediaExtract:
@@ -86,13 +130,20 @@ def build_extract_pipeline(corpus_dir: str,
             if ray.is_initialized() else 4
         concurrency = autosize_pool(total_cpus, cfg.media_num_cpus)
 
+    # one read block per media batch: Ray's default plans >= 200 blocks
+    # and splits small inputs, so each batch would pay several blocks'
+    # and actor calls' fixed costs
+    blocks = cfg.override_num_blocks
+    shards = discover_partitions(corpus_dir) if doc_files is None \
+        else doc_files
+    if blocks is None and shards:
+        rows = sum(pq.read_metadata(f).num_rows for f in shards)
+        blocks = max(1, math.ceil(rows / cfg.media_batch_size))
     if doc_files is not None:
-        docs = ray.data.read_parquet(
-            doc_files, include_paths=True,
-            override_num_blocks=cfg.override_num_blocks)
+        docs = ray.data.read_parquet(doc_files, include_paths=True,
+                                     override_num_blocks=blocks)
     else:
-        docs = read_documents(corpus_dir,
-                              override_num_blocks=cfg.override_num_blocks)
+        docs = read_documents(corpus_dir, override_num_blocks=blocks)
     records = docs.map_batches(
         DocMediaExtract,
         fn_constructor_kwargs=dict(
@@ -108,6 +159,9 @@ def build_extract_pipeline(corpus_dir: str,
         ),
         batch_format="pyarrow",
         batch_size=cfg.media_batch_size,
+        # the actor never writes to its input: without this Ray copies
+        # every batch that is one whole block
+        zero_copy_batch=True,
         concurrency=concurrency,
         num_cpus=cfg.media_num_cpus,
     )

@@ -10,8 +10,8 @@ Arrow batch of span rows, fetching only that batch's payloads from the
 media store. Text rows pass through untouched (see stages/spans.py for
 the single-pass routing rationale). The flagship's actor,
 ``pipelines/extract.py::DocMediaExtract``, runs this call on the span
-rows of a batch of documents, each row with its doc, and assembles
-the records in the same call.
+rows of each media pass of a batch of documents, each row with its
+doc, and assembles the records in the same call.
 
 One ``__call__`` is one columnar pass over the batch's media rows, with
 no loop over payloads: the payloads arrive as one Arrow binary column
