@@ -115,8 +115,9 @@ def run_flagship(num_cpus: int, docs: int, runs: int = 2,
     pool = max(2, int(num_cpus * pool_fraction)) if pool_fraction \
         else max(2, num_cpus - 2)
     pool = min(pool, num_cpus - 1)
-    cfg = PipelineConfig(override_num_blocks=max(16, 4 * num_cpus),
-                         media_concurrency=pool)
+    # the pipeline plans its own read (a block per batch, in whole
+    # rounds of the pool): that plan is what this measures
+    cfg = PipelineConfig(media_concurrency=pool)
 
     # warm-up: read every corpus byte once, then run over 1/8 of the
     # shards to start the worker and actor processes
@@ -222,8 +223,7 @@ def run_checkpointed_bench() -> dict:
     corpus = f"/tmp/wlor_ckpt_corpus_{CKPT_DOCS}_{CKPT_SHARDS}"
     generate_corpus(corpus, num_docs=CKPT_DOCS, seed=42,
                     num_shards=CKPT_SHARDS, use_ray=True)
-    cfg = PipelineConfig(override_num_blocks=max(16, 4 * num_cpus),
-                         media_concurrency=max(2, num_cpus - 2))
+    cfg = PipelineConfig(media_concurrency=max(2, num_cpus - 2))
     out_dir = "/dev/shm/wlor_ckpt_out"
     shutil.rmtree(out_dir, ignore_errors=True)
     t0 = time.time()

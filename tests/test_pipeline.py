@@ -83,10 +83,10 @@ def test_plan_has_no_all_to_all_operator(ray_session, corpus):
 
 def test_plan_is_one_actor_operator_from_documents_to_records(
         ray_session, corpus, tmp_path):
-    """The read feeds one actor operator that turns each batch of
-    ``media_batch_size`` documents into records; with ``debug_out`` the
-    sink reads those records. No other map operator runs, so no span
-    row crosses an operator boundary."""
+    """The read feeds one actor operator that turns each batch of at
+    most ``media_batch_size`` documents into records; with
+    ``debug_out`` the sink reads those records. No other map operator
+    runs, so no span row crosses an operator boundary."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
@@ -100,7 +100,8 @@ def test_plan_is_one_actor_operator_from_documents_to_records(
     ds = build_extract_pipeline(corpus, PipelineConfig(media_batch_size=300))
     assert chain(ds._logical_plan.dag) == [
         "ReadParquet", "MapBatches(DocMediaExtract)"]
-    assert ds._logical_plan.dag._batch_size == 300
+    # 200 docs in one round of this session's 2-actor pool
+    assert ds._logical_plan.dag._batch_size == 100
     physical = chain(get_execution_plan(ds._logical_plan).dag)
     maps = [m for name in physical for m in name.split("->")
             if m.startswith("MapBatches")]
@@ -113,11 +114,16 @@ def test_plan_is_one_actor_operator_from_documents_to_records(
         "MapBatches(DebugImageSink)"]
 
 
-def test_read_blocks_align_with_media_batches(ray_session, corpus):
-    """With the default config a corpus under one media batch reads as
-    one block, neither split nor concatenated again in the actor, whose
-    4,096-document batches arrive without a copy. An explicit
-    ``override_num_blocks`` wins on both read paths."""
+def test_read_blocks_align_with_media_batches(ray_session, corpus,
+                                              tmp_path):
+    """The read plans one block per actor batch, in whole rounds of the
+    media pool, and the batches arrive without a copy. The 200-doc
+    corpus, under one 4,096-doc batch, reads as one block for one actor
+    (not split, not concatenated again in the actor) and as two
+    100-doc blocks for this session's default pool of two. Tiny batches
+    on a multi-shard corpus keep Ray's default read instead of planning
+    a block per batch. An explicit ``override_num_blocks`` wins on both
+    read paths."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
@@ -129,21 +135,41 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus):
             (op,) = op.input_dependencies
         return op
 
-    cfg = PipelineConfig()
-    ds = build_extract_pipeline(corpus, cfg)
-    media = ds._logical_plan.dag
-    assert media._batch_size == cfg.media_batch_size == 4096
-    assert media._zero_copy_batch
-    assert media.input_dependencies[0]._parallelism == 1
+    def plan(ds):
+        media = ds._logical_plan.dag
+        return media._batch_size, media.input_dependencies[0]._parallelism
+
+    assert PipelineConfig().media_batch_size == 4096
+    ds = build_extract_pipeline(corpus, PipelineConfig(media_concurrency=1))
+    assert plan(ds) == (200, 1)
+    assert ds._logical_plan.dag._zero_copy_batch
     assert read_of(ds).name == "ReadParquet"
     assert len(ds.take_all()) == 200
     assert "ReadParquet: 1 tasks executed, 1 blocks produced" in ds.stats()
+
+    ds = build_extract_pipeline(corpus)
+    assert plan(ds) == (100, 2)
+    assert read_of(ds).name == "ReadParquet->SplitBlocks(2)"
+    assert len(ds.take_all()) == 200
+
+    shards4 = str(tmp_path / "shards4")
+    generate_corpus(shards4, num_docs=400, seed=5, num_shards=4)
+    # 2 actors x ceil(400 / (2 x 16)) rounds = 26 blocks of <= 16 docs
+    assert plan(build_extract_pipeline(
+        shards4, PipelineConfig(media_batch_size=16))) == (16, 26)
+    # 400 one-doc blocks would be at least Ray's own 200: Ray plans
+    assert plan(build_extract_pipeline(
+        shards4, PipelineConfig(media_batch_size=1))) == (1, -1)
+    # a single parquet file plans as the corpus does
+    one = discover_partitions(shards4)[0]
+    assert plan(build_extract_pipeline(
+        one, PipelineConfig(media_concurrency=1))) == (100, 1)
 
     shards = discover_partitions(corpus)
     for files in (None, shards):
         ds = build_extract_pipeline(
             corpus, PipelineConfig(override_num_blocks=5), doc_files=files)
-        assert ds._logical_plan.dag.input_dependencies[0]._parallelism == 5
+        assert plan(ds) == (4096, 5)
         assert read_of(ds).name == "ReadParquet->SplitBlocks(5)", files
 
 

@@ -394,7 +394,7 @@ def test_flagship_media_passes_match_oracle(ray_session, skewed_corpus,
                                             monkeypatch, tmp_path):
     """The flagship with ``MEDIA_PASS_ROWS`` patched to 3 before the
     plan is built: the actor, which gets ``DocRecords`` by value, cuts
-    its one batch into passes of at most 3 media spans or one doc (each
+    each batch into passes of at most 3 media spans or one doc (each
     pass detects its distinct payloads in one ``detect_batch`` call),
     and every doc makes exactly one record, equal to the oracle's."""
     from wine_label_ocr_ray.config import PipelineConfig

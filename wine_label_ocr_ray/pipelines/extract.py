@@ -7,19 +7,20 @@ operator. Consumers write/iterate — nothing here materializes the full
 dataset.
 
 A batch is up to ``media_batch_size`` documents (4,096), and a parquet
-read plans one block per batch, so each batch pays the fixed cost of
-one read block, one actor call and one write task. Memory is bounded by
-media, not by documents: the actor cuts each batch between documents
-into media passes of at most ``MEDIA_PASS_ROWS`` media spans (a
-document with more is a pass of its own), and each pass runs the whole
-chain on its documents.
+read plans one block per batch (``read_plan``), in whole rounds of the
+actor pool, so each batch pays the fixed cost of one read block, one
+actor call and one write task, and every actor gets work. Memory is
+bounded by media, not by documents: the actor cuts each batch between
+documents into media passes of at most ``MEDIA_PASS_ROWS`` media spans
+(a document with more is a pass of its own), and each pass runs the
+whole chain on its documents.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -28,8 +29,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..config import PipelineConfig
-from ..sources.documents import read_documents
-from ..stages.checkpoint import discover_partitions
+from ..sources.documents import document_files, read_documents
 from ..stages.media import MediaExtract
 from ..stages.reassemble import assemble_docs
 from ..stages.spans import explode_spans, extract_text_spans, one_array
@@ -72,8 +72,6 @@ class DocRecords(MediaExtract):
 
     def __call__(self, docs: pa.Table) -> pa.Table:
         cuts = media_passes(docs)
-        if len(cuts) <= 2:
-            return self._pass(docs)
         return pa.concat_tables([self._pass(docs.slice(a, b - a))
                                  for a, b in zip(cuts[:-1], cuts[1:])])
 
@@ -111,14 +109,30 @@ def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
     return min(size, cap)
 
 
+def read_plan(rows: int, batch: int, pool: int) -> Tuple[Optional[int], int]:
+    """(read blocks, actor batch size) for ``rows`` documents and a
+    media pool of ``pool`` actors: one block per batch of at most
+    ``batch`` documents, in whole rounds of the pool, so every actor
+    gets a batch and none gets a round more than the others. A plan of
+    Ray's ``read_op_min_num_blocks`` blocks or more (tiny batches on a
+    large input) is left to Ray's default read: (None, ``batch``)."""
+    blocks = pool * max(1, math.ceil(rows / (pool * batch)))
+    if blocks >= ray.data.DataContext.get_current().read_op_min_num_blocks:
+        return None, batch
+    return blocks, max(1, math.ceil(rows / blocks))
+
+
 def build_extract_pipeline(corpus_dir: str,
                            cfg: Optional[PipelineConfig] = None,
-                           doc_files: Optional[list] = None
+                           doc_files: Optional[list] = None,
+                           doc_rows: Optional[int] = None
                            ) -> "ray.data.Dataset":
     """Returns the lazy record Dataset (schema: schema.RECORD_SCHEMA).
     ``doc_files`` restricts the read to specific document shard files
     (the checkpointed runner's commit unit); each record then also
-    carries its source shard in a ``path`` column, as given here."""
+    carries its source shard in a ``path`` column, as given here.
+    ``doc_rows``, the input's document count when the caller has read
+    the shard footers already, only sizes the read."""
     from .._rayprep import ensure_serializable
     ensure_serializable()
     cfg = cfg or PipelineConfig()
@@ -130,20 +144,20 @@ def build_extract_pipeline(corpus_dir: str,
             if ray.is_initialized() else 4
         concurrency = autosize_pool(total_cpus, cfg.media_num_cpus)
 
-    # one read block per media batch: Ray's default plans >= 200 blocks
-    # and splits small inputs, so each batch would pay several blocks'
-    # and actor calls' fixed costs
-    blocks = cfg.override_num_blocks
-    shards = discover_partitions(corpus_dir) if doc_files is None \
-        else doc_files
-    if blocks is None and shards:
-        rows = sum(pq.read_metadata(f).num_rows for f in shards)
-        blocks = max(1, math.ceil(rows / cfg.media_batch_size))
-    if doc_files is not None:
-        docs = ray.data.read_parquet(doc_files, include_paths=True,
-                                     override_num_blocks=blocks)
-    else:
-        docs = read_documents(corpus_dir, override_num_blocks=blocks)
+    # one read block per media batch: Ray's default plans up to 200
+    # blocks and splits small inputs, so each batch would pay several
+    # blocks' and actor calls' fixed costs. A Lance input (no parquet
+    # files) keeps Ray's default.
+    files = document_files(corpus_dir) if doc_files is None else doc_files
+    blocks, batch = cfg.override_num_blocks, cfg.media_batch_size
+    if blocks is None and files:
+        if doc_rows is None:
+            doc_rows = sum(pq.read_metadata(f).num_rows for f in files)
+        blocks, batch = read_plan(doc_rows, batch, concurrency
+                                  if isinstance(concurrency, int)
+                                  else max(concurrency))
+    docs = read_documents(files or corpus_dir, override_num_blocks=blocks,
+                          include_paths=doc_files is not None)
     records = docs.map_batches(
         DocMediaExtract,
         fn_constructor_kwargs=dict(
@@ -158,7 +172,7 @@ def build_extract_pipeline(corpus_dir: str,
             sweep_max_variants=cfg.sweep_max_variants,
         ),
         batch_format="pyarrow",
-        batch_size=cfg.media_batch_size,
+        batch_size=batch,
         # the actor never writes to its input: without this Ray copies
         # every batch that is one whole block
         zero_copy_batch=True,

@@ -231,9 +231,11 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
         for shard in [s for s, st in pending.items() if st["left"] == 0]:
             commit(shard)
         if pending:
-            batches = iter(build_extract_pipeline(
-                corpus_dir, cfg, doc_files=list(pending)).iter_batches(
-                    batch_size=None, batch_format="pyarrow"))
+            records = build_extract_pipeline(
+                corpus_dir, cfg, doc_files=list(pending),
+                doc_rows=sum(st["left"] for st in pending.values()))
+            batches = iter(records.iter_batches(batch_size=None,
+                                                batch_format="pyarrow"))
         for batch in batches or ():
             path = batch.column("path")
             for shard in pc.unique(path).to_pylist():
