@@ -100,8 +100,9 @@ def test_plan_is_one_actor_operator_from_documents_to_records(
     ds = build_extract_pipeline(corpus, PipelineConfig(media_batch_size=300))
     assert chain(ds._logical_plan.dag) == [
         "ReadParquet", "MapBatches(DocMediaExtract)"]
-    # 200 docs in one round of this session's 2-actor pool
-    assert ds._logical_plan.dag._batch_size == 100
+    # the read is planned (200 docs in one round of this session's
+    # 2-actor pool), and each planned block is one batch
+    assert ds._logical_plan.dag._batch_size is None
     physical = chain(get_execution_plan(ds._logical_plan).dag)
     maps = [m for name in physical for m in name.split("->")
             if m.startswith("MapBatches")]
@@ -116,14 +117,14 @@ def test_plan_is_one_actor_operator_from_documents_to_records(
 
 def test_read_blocks_align_with_media_batches(ray_session, corpus,
                                               tmp_path):
-    """The read plans one block per actor batch, in whole rounds of the
-    media pool, and the batches arrive without a copy. The 200-doc
-    corpus, under one 4,096-doc batch, reads as one block for one actor
-    (not split, not concatenated again in the actor) and as two
-    100-doc blocks for this session's default pool of two. Tiny batches
-    on a multi-shard corpus keep Ray's default read instead of planning
-    a block per batch. An explicit ``override_num_blocks`` wins on both
-    read paths."""
+    """The read plans blocks of at most about ``media_batch_size``
+    documents in whole rounds of the media pool, and each block is one
+    actor batch, passed without a copy. For one actor the 200-doc
+    corpus is one block, read inside the actor's operator (Ray fuses
+    the read into it); for this session's default pool of two it is
+    two 100-doc blocks. Tiny batches on a multi-shard corpus keep Ray's
+    default read and the batch size. An explicit
+    ``override_num_blocks`` wins on both read paths."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
@@ -141,29 +142,31 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
 
     assert PipelineConfig().media_batch_size == 4096
     ds = build_extract_pipeline(corpus, PipelineConfig(media_concurrency=1))
-    assert plan(ds) == (200, 1)
+    assert plan(ds) == (None, 1)
     assert ds._logical_plan.dag._zero_copy_batch
-    assert read_of(ds).name == "ReadParquet"
+    assert read_of(ds).name == "ReadParquet->MapBatches(DocMediaExtract)"
     assert len(ds.take_all()) == 200
-    assert "ReadParquet: 1 tasks executed, 1 blocks produced" in ds.stats()
+    assert "MapBatches(DocMediaExtract): 1 tasks executed, 1 blocks " \
+        "produced" in ds.stats()
 
     ds = build_extract_pipeline(corpus)
-    assert plan(ds) == (100, 2)
+    assert plan(ds) == (None, 2)
     assert read_of(ds).name == "ReadParquet->SplitBlocks(2)"
     assert len(ds.take_all()) == 200
+    assert "MapBatches(DocMediaExtract): 2 tasks executed" in ds.stats()
 
     shards4 = str(tmp_path / "shards4")
     generate_corpus(shards4, num_docs=400, seed=5, num_shards=4)
-    # 2 actors x ceil(400 / (2 x 16)) rounds = 26 blocks of <= 16 docs
+    # 2 actors x ceil(400 / (2 x 16)) rounds = 26 blocks of <= ~16 docs
     assert plan(build_extract_pipeline(
-        shards4, PipelineConfig(media_batch_size=16))) == (16, 26)
+        shards4, PipelineConfig(media_batch_size=16))) == (None, 26)
     # 400 one-doc blocks would be at least Ray's own 200: Ray plans
     assert plan(build_extract_pipeline(
         shards4, PipelineConfig(media_batch_size=1))) == (1, -1)
     # a single parquet file plans as the corpus does
     one = discover_partitions(shards4)[0]
     assert plan(build_extract_pipeline(
-        one, PipelineConfig(media_concurrency=1))) == (100, 1)
+        one, PipelineConfig(media_concurrency=1))) == (None, 1)
 
     shards = discover_partitions(corpus)
     for files in (None, shards):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -109,17 +109,16 @@ def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
     return min(size, cap)
 
 
-def read_plan(rows: int, batch: int, pool: int) -> Tuple[Optional[int], int]:
-    """(read blocks, actor batch size) for ``rows`` documents and a
-    media pool of ``pool`` actors: one block per batch of at most
-    ``batch`` documents, in whole rounds of the pool, so every actor
-    gets a batch and none gets a round more than the others. A plan of
-    Ray's ``read_op_min_num_blocks`` blocks or more (tiny batches on a
-    large input) is left to Ray's default read: (None, ``batch``)."""
+def read_blocks(rows: int, batch: int, pool: int) -> Optional[int]:
+    """Read blocks for ``rows`` documents and a media pool of ``pool``
+    actors: blocks of at most about ``batch`` documents, in whole
+    rounds of the pool, so every actor gets work and none gets a round
+    more than the others. None (Ray's default read) when that is
+    Ray's ``read_op_min_num_blocks`` blocks or more: tiny batches on a
+    large input."""
     blocks = pool * max(1, math.ceil(rows / (pool * batch)))
-    if blocks >= ray.data.DataContext.get_current().read_op_min_num_blocks:
-        return None, batch
-    return blocks, max(1, math.ceil(rows / blocks))
+    ctx = ray.data.DataContext.get_current()
+    return blocks if blocks < ctx.read_op_min_num_blocks else None
 
 
 def build_extract_pipeline(corpus_dir: str,
@@ -153,9 +152,14 @@ def build_extract_pipeline(corpus_dir: str,
     if blocks is None and files:
         if doc_rows is None:
             doc_rows = sum(pq.read_metadata(f).num_rows for f in files)
-        blocks, batch = read_plan(doc_rows, batch, concurrency
-                                  if isinstance(concurrency, int)
-                                  else max(concurrency))
+        blocks = read_blocks(doc_rows, batch, concurrency
+                             if isinstance(concurrency, int)
+                             else max(concurrency))
+        if blocks is not None:
+            # a block is one batch: a batch size would make Ray join
+            # blocks smaller than it into one call (shards that do not
+            # split evenly into the blocks give blocks a shard apart)
+            batch = None
     docs = read_documents(files or corpus_dir, override_num_blocks=blocks,
                           include_paths=doc_files is not None)
     records = docs.map_batches(
