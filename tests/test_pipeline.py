@@ -120,15 +120,19 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     """The read plans blocks of at most about ``media_batch_size``
     documents in whole rounds of the media pool, and each block is one
     actor batch, passed without a copy. For one actor the 200-doc
-    corpus is one block, read inside the actor's operator (Ray fuses
-    the read into it); for this session's default pool of two it is
-    two 100-doc blocks. Tiny batches on a multi-shard corpus keep Ray's
-    default read and the batch size. An explicit
-    ``override_num_blocks`` wins on both read paths."""
+    corpus is one block and one call; for this session's default pool
+    of two it is two 100-doc blocks. A block of four shards is still
+    one call (the read keeps its own task: fused into the actor's
+    operator it would call the actor once per shard). Tiny batches on
+    a multi-shard corpus keep Ray's default read and the batch size.
+    An explicit ``override_num_blocks`` wins on both read paths."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
     from wine_label_ocr_ray.stages.checkpoint import discover_partitions
+    from wine_label_ocr_ray.state.engines import (SyntheticBarcodeEngine,
+                                                  SyntheticDetectEngine,
+                                                  SyntheticOcrEngine)
 
     def read_of(ds):
         op = get_execution_plan(ds._logical_plan).dag
@@ -144,10 +148,9 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     ds = build_extract_pipeline(corpus, PipelineConfig(media_concurrency=1))
     assert plan(ds) == (None, 1)
     assert ds._logical_plan.dag._zero_copy_batch
-    assert read_of(ds).name == "ReadParquet->MapBatches(DocMediaExtract)"
+    assert read_of(ds).name == "ReadParquet"
     assert len(ds.take_all()) == 200
-    assert "MapBatches(DocMediaExtract): 1 tasks executed, 1 blocks " \
-        "produced" in ds.stats()
+    assert "ReadParquet: 1 tasks executed, 1 blocks produced" in ds.stats()
 
     ds = build_extract_pipeline(corpus)
     assert plan(ds) == (None, 2)
@@ -157,6 +160,26 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
 
     shards4 = str(tmp_path / "shards4")
     generate_corpus(shards4, num_docs=400, seed=5, num_shards=4)
+    log = str(tmp_path / "detect_batch_calls")
+
+    # defined inside the test so cloudpickle ships them by value; one
+    # actor call of 400 docs is one media pass, so one detect_batch
+    class Detect(SyntheticDetectEngine):
+        def detect_batch(self, headers):
+            with open(log, "a") as f:
+                f.write(f"{len(headers)}\n")
+            return super().detect_batch(headers)
+
+    def logged_engines(confidence_threshold: float = 0.01):
+        return (Detect(confidence_threshold), SyntheticOcrEngine(),
+                SyntheticBarcodeEngine())
+
+    ds = build_extract_pipeline(shards4, PipelineConfig(
+        media_concurrency=1, engines=logged_engines))
+    assert plan(ds) == (None, 1)
+    assert len(ds.take_all()) == 400
+    with open(log) as f:
+        assert len(f.read().split()) == 1
     # 2 actors x ceil(400 / (2 x 16)) rounds = 26 blocks of <= ~16 docs
     assert plan(build_extract_pipeline(
         shards4, PipelineConfig(media_batch_size=16))) == (None, 26)

@@ -180,6 +180,11 @@ def build_extract_pipeline(corpus_dir: str,
         # the actor never writes to its input: without this Ray copies
         # every batch that is one whole block
         zero_copy_batch=True,
+        # Ray's default for actor pools (a killed actor restarts and its
+        # batch is retried), stated so the read keeps its own task: Ray
+        # fuses a read into an operator with equal remote arguments and
+        # then calls the actor once per file, not once per block
+        max_restarts=-1,
         concurrency=concurrency,
         num_cpus=cfg.media_num_cpus,
     )
