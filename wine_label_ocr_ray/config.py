@@ -36,12 +36,12 @@ class PipelineConfig:
     # cluster CPUs (min 2): a pool reserving every CPU starves the read
     # and the pipeline serializes (or deadlocks).
     media_concurrency: Union[int, Tuple[int, int], None] = None
-    # at most this many documents (not spans) per media-actor batch and,
-    # when no override_num_blocks is given, per read block (the read
-    # plans whole rounds of the actor pool, so batches may be smaller):
-    # the batch's fixed cost (read block, actor call, write task) is
-    # paid once per batch, while the actor bounds media memory by media
-    # spans per pass
+    # documents (not spans) per media-actor batch. A parquet read with
+    # no override_num_blocks plans blocks of about this many or fewer
+    # (whole rounds of the actor pool), each block one batch, so the
+    # batch's fixed cost (read block, actor call, write task) is paid
+    # once per block; otherwise Ray cuts batches of this many. The
+    # actor bounds media memory by media spans per pass either way.
     media_batch_size: int = 4096
     media_num_cpus: float = 1.0
     override_num_blocks: Optional[int] = None

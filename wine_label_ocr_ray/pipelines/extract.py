@@ -6,14 +6,14 @@ in one call, so span rows never leave it and the plan has no all-to-all
 operator. Consumers write/iterate — nothing here materializes the full
 dataset.
 
-A batch is up to ``media_batch_size`` documents (4,096), and a parquet
-read plans one block per batch (``read_plan``), in whole rounds of the
-actor pool, so each batch pays the fixed cost of one read block, one
-actor call and one write task, and every actor gets work. Memory is
-bounded by media, not by documents: the actor cuts each batch between
-documents into media passes of at most ``MEDIA_PASS_ROWS`` media spans
-(a document with more is a pass of its own), and each pass runs the
-whole chain on its documents.
+A parquet read plans blocks of about ``media_batch_size`` documents
+(4,096) or fewer, in whole rounds of the actor pool (``read_blocks``),
+and each block is one actor batch, so a batch pays the fixed cost of
+one read block, one actor call and one write task, and every actor
+gets work. Memory is bounded by media, not by documents: the actor
+cuts each batch between documents into media passes of at most
+``MEDIA_PASS_ROWS`` media spans (a document with more is a pass of its
+own), and each pass runs the whole chain on its documents.
 """
 
 from __future__ import annotations
