@@ -119,13 +119,14 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
                                               tmp_path):
     """The read plans blocks of at most about ``media_batch_size``
     documents in whole rounds of the media pool, and each block is one
-    actor batch, passed without a copy. For one actor the 200-doc
-    corpus is one block and one call; for this session's default pool
-    of two it is two 100-doc blocks. A block of four shards is still
-    one call (the read keeps its own task: fused into the actor's
-    operator it would call the actor once per shard). Tiny batches on
-    a multi-shard corpus keep Ray's default read and the batch size.
-    An explicit ``override_num_blocks`` wins on both read paths."""
+    actor batch, passed without a copy to a free actor. For one actor
+    the 200-doc corpus is one block and one call; for this session's
+    default pool of two it is two 100-doc blocks. A block of four
+    shards is still one call (the read keeps its own task: fused into
+    the actor's operator it would call the actor once per shard). Tiny
+    batches on a multi-shard corpus keep Ray's default read and the
+    batch size. An explicit ``override_num_blocks`` wins on both read
+    paths."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
@@ -148,6 +149,8 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     ds = build_extract_pipeline(corpus, PipelineConfig(media_concurrency=1))
     assert plan(ds) == (None, 1)
     assert ds._logical_plan.dag._zero_copy_batch
+    # whole-batch blocks go to whichever actor is free, one at a time
+    assert ds.context.max_tasks_in_flight_per_actor == 1
     assert read_of(ds).name == "ReadParquet"
     assert len(ds.take_all()) == 200
     assert "ReadParquet: 1 tasks executed, 1 blocks produced" in ds.stats()

@@ -188,6 +188,10 @@ def build_extract_pipeline(corpus_dir: str,
         concurrency=concurrency,
         num_cpus=cfg.media_num_cpus,
     )
+    # a planned block is a whole batch: hand each to whichever actor is
+    # free, not up to Ray's default 4 queued per actor, which leaves an
+    # actor that starts late with fewer blocks than the others
+    records.context.max_tasks_in_flight_per_actor = 1
     if cfg.debug_out:
         from ..stages.debug_sink import DebugImageSink
         records = records.map_batches(
