@@ -143,10 +143,10 @@ def build_extract_pipeline(corpus_dir: str,
             if ray.is_initialized() else 4
         concurrency = autosize_pool(total_cpus, cfg.media_num_cpus)
 
-    # one read block per media batch: Ray's default plans up to 200
-    # blocks and splits small inputs, so each batch would pay several
-    # blocks' and actor calls' fixed costs. A Lance input (no parquet
-    # files) keeps Ray's default.
+    # blocks of about one media batch, in whole rounds of the pool:
+    # Ray's default plans up to 200 blocks and splits small inputs, so
+    # each batch would pay several blocks' and actor calls' fixed
+    # costs. A Lance input (no parquet files) keeps Ray's default.
     files = document_files(corpus_dir) if doc_files is None else doc_files
     blocks, batch = cfg.override_num_blocks, cfg.media_batch_size
     if blocks is None and files:
@@ -189,8 +189,8 @@ def build_extract_pipeline(corpus_dir: str,
         num_cpus=cfg.media_num_cpus,
     )
     # a planned block is a whole batch: hand each to whichever actor is
-    # free, not up to Ray's default 4 queued per actor, which leaves an
-    # actor that starts late with fewer blocks than the others
+    # free, not up to Ray's default of 4 queued per actor, which leaves
+    # an actor that starts late with fewer blocks than the others
     records.context.max_tasks_in_flight_per_actor = 1
     if cfg.debug_out:
         from ..stages.debug_sink import DebugImageSink
