@@ -2,7 +2,6 @@
 LSH-ANN recall tests. Decision fixtures follow FIXTURES.md F7."""
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from wine_label_ocr_ray.functions.text import canonical_key, hash_id
@@ -128,15 +127,15 @@ def test_dedup_decision_pipeline(ray_session):
     assert (out.decision == "seen").any()
 
 
-def test_decide_distributed_equals_broadcast(ray_session):
+def test_decide_distributed_equals_best_match(ray_session):
     """The distributed decision (cogrouped exact leg + vintage blocks +
-    replicated-probe fallback) must be row-identical to the broadcast
-    DbIndex path on inputs covering every leg: exact hits, same-vintage
-    fuzzy (+5 bonus), empty-bucket fallback, no-vintage fallback,
-    empty maker, the '|' key guard, and score ties (first-max-wins)."""
+    replicated-probe fallback) must be row-identical to ``best_match``
+    per probe over the DB in ascending doc_id order, on inputs covering
+    every leg: exact hits, same-vintage fuzzy (+5 bonus), empty-bucket
+    fallback, no-vintage fallback, empty maker, the '|' key guard, and
+    score ties (first-max-wins)."""
     import ray.data
-    from wine_label_ocr_ray.stages.dedup import (decide_against_db,
-                                                 decide_distributed)
+    from wine_label_ocr_ray.stages.dedup import decide_distributed
 
     db_rows = [
         {"doc_id": "d00", "maker_norm": "OPUS ONE", "vintage_str": "2019"},
@@ -173,11 +172,16 @@ def test_decide_distributed_equals_broadcast(ray_session):
     dist = (decide_distributed(probe_ds, db_ds).to_pandas()
             .sort_values("doc_id").reset_index(drop=True))
     db = [{"maker_norm": r["maker_norm"], "vintage": r["vintage_str"],
-           "key": r["key"], "id": r["record_id"]} for r in db_rows]
-    bcast = (decide_against_db(ray.data.from_items(probes), db)
-             .to_pandas().sort_values("doc_id").reset_index(drop=True))
+           "key": r["key"], "id": r["record_id"]}
+          for r in sorted(db_rows, key=lambda r: r["doc_id"])]
+    want = []
+    for p in sorted(probes, key=lambda p: p["doc_id"]):
+        decision, item, score, reason = best_match(
+            db, p["maker_norm"], p["vintage_str"])
+        want.append((p["doc_id"], decision, int(score),
+                     item["id"] if item else None, reason))
     cols = ["doc_id", "decision", "score", "match_id", "reason"]
-    pd.testing.assert_frame_equal(dist[cols], bcast[cols])
+    assert list(dist[cols].itertuples(index=False, name=None)) == want
     # empty DB short-circuit
     empty = ray.data.from_items(db_rows).filter(lambda r: False)
     out = (decide_distributed(probe_ds, empty).to_pandas()

@@ -125,12 +125,11 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     shards is still one call (the read keeps its own task: fused into
     the actor's operator it would call the actor once per shard). Tiny
     batches on a multi-shard corpus keep Ray's default read and the
-    batch size. An explicit ``override_num_blocks`` wins on both read
-    paths."""
+    batch size."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
-    from wine_label_ocr_ray.stages.checkpoint import discover_partitions
+    from wine_label_ocr_ray.sources.documents import document_files
     from wine_label_ocr_ray.state.engines import (SyntheticBarcodeEngine,
                                                   SyntheticDetectEngine,
                                                   SyntheticOcrEngine)
@@ -190,16 +189,9 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     assert plan(build_extract_pipeline(
         shards4, PipelineConfig(media_batch_size=1))) == (1, -1)
     # a single parquet file plans as the corpus does
-    one = discover_partitions(shards4)[0]
+    one = document_files(shards4)[0]
     assert plan(build_extract_pipeline(
         one, PipelineConfig(media_concurrency=1))) == (None, 1)
-
-    shards = discover_partitions(corpus)
-    for files in (None, shards):
-        ds = build_extract_pipeline(
-            corpus, PipelineConfig(override_num_blocks=5), doc_files=files)
-        assert plan(ds) == (4096, 5)
-        assert read_of(ds).name == "ReadParquet->SplitBlocks(5)", files
 
 
 def test_killed_media_actor_costs_nothing(ray_session, corpus, expected,

@@ -612,7 +612,6 @@ _SPAN_ROW = st.fixed_dictionaries({
         st.just([{"bucket": "error", "text": "corrupt_media",
                   "conf": None}])),
     "vintage_str": st.sampled_from(_MAYBE + ["1999", "2001", "19x9"]),
-    "vintage_by_yolo": st.booleans(),
     "barcode": st.sampled_from(_MAYBE + ["123", "456"]),
     "blob": _BLOB,
 })
@@ -646,8 +645,8 @@ def test_assemble_bucket_matches_rowwise_reference(tagged):
 def _media_row(offset, ref, raw, maker=None):
     return {"offset": offset, "kind": "media", "media_ref": ref,
             "span_text": "", "text_year": None, "maker_name": maker,
-            "raw": raw, "vintage_str": None, "vintage_by_yolo": False,
-            "barcode": None, "blob": None}
+            "raw": raw, "vintage_str": None, "barcode": None,
+            "blob": None}
 
 
 def _entry(bucket, text, conf):

@@ -126,6 +126,17 @@ def test_config_hash_default_backcompat():
     # non-default engine/sweep DO change the hash
     assert _config_hash(PipelineConfig(sweep_max_variants=10)) != legacy
     assert _config_hash(PipelineConfig(engines="other")) != legacy
+    # so does every other semantic key
+    changed = {"confidence_threshold": 0.5, "box_pad": 0.1,
+               "min_blob_area": 31.0, "crop_label": True,
+               "skip_alignment": False}
+    assert set(changed) == set(_SEMANTIC_KEYS)
+    for k, v in changed.items():
+        assert _config_hash(PipelineConfig(**{k: v})) != legacy, k
+    # pool, batch and debug settings do not
+    for k, v in {"media_batch_size": 16, "media_concurrency": (1, 3),
+                 "media_num_cpus": 0.5, "debug_out": "debug"}.items():
+        assert _config_hash(PipelineConfig(**{k: v})) == legacy, k
 
 
 def test_schema_fingerprint_change_forces_reexecution(ray_session, corpus,
@@ -252,3 +263,55 @@ def test_zero_row_shard_commits_without_batch(ray_session, small_corpus,
     assert summary["executed"] == 2 and summary["skipped"] == 1
     assert len(rec.take()) == 1
     assert summary["metrics"]["rows"] == _read_sorted(out).num_rows == 80
+
+
+def test_checkpointed_reads_the_shards_the_pipeline_reads(
+        ray_session, small_corpus, tmp_path):
+    """A shard in a subdirectory of ``documents/`` is read, and a
+    parquet file whose name starts with ``_`` is not, by the
+    checkpointed run as by the plain pipeline: both give the same
+    records."""
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from wine_label_ocr_ray.pipelines.extract import build_extract_pipeline
+    from wine_label_ocr_ray.schema import RECORD_SCHEMA
+
+    corpus2 = str(tmp_path / "corpus")
+    shutil.copytree(small_corpus, corpus2)
+    docs = os.path.join(corpus2, "documents")
+    os.makedirs(os.path.join(docs, "sub"))
+    os.rename(os.path.join(docs, "part-0001.parquet"),
+              os.path.join(docs, "sub", "part-0001.parquet"))
+    side = pq.read_table(os.path.join(docs, "part-0000.parquet")).slice(0, 5)
+    side = side.set_column(0, "doc_id", pa.array(
+        [f"meta-{i}" for i in range(side.num_rows)]))
+    pq.write_table(side, os.path.join(docs, "_meta.parquet"))
+
+    out = str(tmp_path / "out")
+    summary = run_checkpointed(corpus2, out)
+    assert summary["executed"] == 2
+    plain = pa.Table.from_pylist(build_extract_pipeline(corpus2).take_all(),
+                                 schema=RECORD_SCHEMA).sort_by("doc_id")
+    assert plain.num_rows == 80
+    assert _read_sorted(out).to_pylist() == plain.to_pylist()
+
+
+def test_shards_sharing_a_stem_are_refused(small_corpus, tmp_path):
+    """Partitions are named by shard stem: two shards with one stem
+    raise before anything is written."""
+    import shutil
+
+    corpus2 = str(tmp_path / "corpus")
+    shutil.copytree(small_corpus, corpus2)
+    docs = os.path.join(corpus2, "documents")
+    os.makedirs(os.path.join(docs, "sub"))
+    shutil.copy(os.path.join(docs, "part-0001.parquet"),
+                os.path.join(docs, "sub", "part-0001.parquet"))
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="part-0001") as err:
+        run_checkpointed(corpus2, out)
+    assert os.path.join("sub", "part-0001.parquet") in str(err.value)
+    assert not os.path.exists(out)

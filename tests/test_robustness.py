@@ -62,14 +62,25 @@ def test_media_heavy_doc_exact(ray_session, skewed_corpus):
 @pytest.mark.parametrize("media_batch_size", [1, 3])
 def test_doc_boundaries_at_smallest_batches(ray_session, skewed_corpus,
                                             media_batch_size):
-    """Every batch boundary is a document boundary: with one document
-    per block and 1- or 3-document media batches, every record still
-    equals the oracle's."""
+    """Every batch boundary is a document boundary: with 1- or
+    3-document media batches, every record still equals the oracle's.
+    Ray's read minimum lowered below the planned block count makes the
+    plan take Ray's default read, cut into batches of
+    ``media_batch_size`` documents."""
+    import ray.data
+
     from wine_label_ocr_ray.config import PipelineConfig
 
-    cfg = PipelineConfig(media_batch_size=media_batch_size,
-                         override_num_blocks=101)
-    recs = build_extract_pipeline(skewed_corpus, cfg).take_all()
+    cfg = PipelineConfig(media_batch_size=media_batch_size)
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.read_op_min_num_blocks
+    ctx.read_op_min_num_blocks = 2
+    try:
+        ds = build_extract_pipeline(skewed_corpus, cfg)
+        assert ds._logical_plan.dag._batch_size == media_batch_size
+        recs = ds.take_all()
+    finally:
+        ctx.read_op_min_num_blocks = saved
     expected = oracle_records(skewed_corpus)
     assert sorted(r["doc_id"] for r in recs) == sorted(expected)
     for r in recs:

@@ -480,32 +480,6 @@ def test_pixel_sweep_ocr_mixin_runs_real_fanout():
     assert eng.ocr_sweep({}, 75) == ["full-view"]
 
 
-def test_two_arg_ocr_sweep_adapter_still_works():
-    """An adapter written against the original 2-arg ocr_sweep
-    signature (no gray parameter) must not crash the media stage."""
-    from wine_label_ocr_ray.stages.media import extract_media_fields
-    from wine_label_ocr_ray.state.engines import (OcrEngine,
-                                                  SyntheticBarcodeEngine)
-
-    class OldStyleOcr(OcrEngine):
-        def ocr_box(self, d, box):
-            return [], []
-
-        def ocr_full(self, d):
-            return []
-
-        def ocr_sweep(self, d, max_variants=75):  # pre-gray signature
-            return ["1999"]
-
-    fields = extract_media_fields(
-        {"w": 32, "h": 32, "elements": [], "background_texts": []},
-        np.zeros((32, 32), dtype=np.uint8), [],
-        ocr_engine=OldStyleOcr(),
-        barcode_engine=SyntheticBarcodeEngine(),
-        sweep_max_variants=75)
-    assert fields["vintage_str"] == "1999"
-
-
 def test_production_adapter_registry_and_import_guard():
     """VERDICT r4 item 4: the production adapters resolve by name
     through the factory seam; without ultralytics/paddleocr/pyzbar in

@@ -1,12 +1,15 @@
 """Pipeline configuration (the engine's user-extension surface,
-SURVEY.md section 2.9: thresholds, weights, engine choices, paths,
-partitioning — the Ray Data analog of the reference's kwargs/CLI flags,
-``hybrid.py:277-289``, ``scan_and_store.py:186-196``)."""
+SURVEY.md section 2.9: extraction thresholds, engine choices, debug
+output, pool and batch sizing — the Ray Data analog of the reference's
+kwargs/CLI flags, ``hybrid.py:277-289``, ``scan_and_store.py:186-196``).
+The dedup and near-dup thresholds are keyword arguments of the stages
+that use them (``stages/dedup.py``), as they are of the reference's
+functions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 
 @dataclass
@@ -25,26 +28,19 @@ class PipelineConfig:
     # final_run_ocr.py:187-297); real adapters honor this bound
     sweep_max_variants: int = 75
 
-    # similarity / dedup thresholds (BlobSimilarity.py:105-116,
-    # scan_and_store.py:127)
-    maker_threshold: int = 85
-    blob_threshold: float = 0.55
-    pair_threshold: float = 0.22
-    blob_weights: Dict[str, float] = field(default_factory=dict)
-
     # physical execution. media_concurrency=None -> autosize to half the
     # cluster CPUs (min 2): a pool reserving every CPU starves the read
     # and the pipeline serializes (or deadlocks).
     media_concurrency: Union[int, Tuple[int, int], None] = None
-    # documents (not spans) per media-actor batch. A parquet read with
-    # no override_num_blocks plans blocks of about this many or fewer
-    # (whole rounds of the actor pool), each block one batch, so the
-    # batch's fixed cost (read block, actor call, write task) is paid
-    # once per block; otherwise Ray cuts batches of this many. The
-    # actor bounds media memory by media spans per pass either way.
+    # documents (not spans) per media-actor batch. A parquet read plans
+    # blocks of about this many or fewer (whole rounds of the actor
+    # pool), each block one batch, so the batch's fixed cost (read
+    # block, actor call, write task) is paid once per block; where that
+    # would be Ray's own block count or more, Ray reads and cuts batches
+    # of this many. The actor bounds media memory by media spans per
+    # pass either way.
     media_batch_size: int = 4096
     media_num_cpus: float = 1.0
-    override_num_blocks: Optional[int] = None
 
     # blob-leg options (hybrid.py:277-289 kwargs)
     crop_label: bool = False

@@ -146,10 +146,12 @@ def build_extract_pipeline(corpus_dir: str,
     # blocks of about one media batch, in whole rounds of the pool:
     # Ray's default plans up to 200 blocks and splits small inputs, so
     # each batch would pay several blocks' and actor calls' fixed
-    # costs. A Lance input (no parquet files) keeps Ray's default.
+    # costs. A Lance input (no parquet files), or tiny batches on a
+    # large input (``read_blocks`` is None), keeps Ray's default read
+    # and Ray cuts batches of ``media_batch_size`` documents.
     files = document_files(corpus_dir) if doc_files is None else doc_files
-    blocks, batch = cfg.override_num_blocks, cfg.media_batch_size
-    if blocks is None and files:
+    blocks, batch = None, cfg.media_batch_size
+    if files:
         if doc_rows is None:
             doc_rows = sum(pq.read_metadata(f).num_rows for f in files)
         blocks = read_blocks(doc_rows, batch, concurrency

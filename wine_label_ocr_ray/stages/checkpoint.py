@@ -16,7 +16,9 @@ shards — so a crash mid-run costs only the shards still open.
 Layout:
     out_dir/part=<name>/*.parquet       (atomic: renamed from _tmp.<name>)
     out_dir/_manifests/<name>.json      (atomic: os.replace from .tmp)
-where <name> is the shard stem.
+where <name> is the shard stem. The shards are the parquet files the
+plain pipeline reads (``sources/documents.py::document_files``), and a
+run refuses two that share a stem.
 """
 
 from __future__ import annotations
@@ -27,20 +29,20 @@ import json
 import os
 import shutil
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..config import PipelineConfig
 from ..schema import RECORD_SCHEMA
+from ..sources.documents import document_files
 
 
 # only SEMANTIC knobs enter lineage — changing pool sizes, batch
-# sizes, block counts or debug output must not invalidate partitions
+# sizes or debug output must not invalidate partitions
 _SEMANTIC_KEYS = ("confidence_threshold", "box_pad", "min_blob_area",
-                  "maker_threshold", "blob_threshold", "pair_threshold",
-                  "blob_weights", "crop_label", "skip_alignment")
+                  "crop_label", "skip_alignment")
 
 
 def _engine_id(eng) -> str:
@@ -49,9 +51,11 @@ def _engine_id(eng) -> str:
 
 
 def _config_hash(cfg: PipelineConfig) -> str:
-    """Canonical form OMITS keys at their dataclass defaults (read
-    from PipelineConfig, not hardcoded) so manifests written before
-    those keys existed keep hashing identically."""
+    """Hash of the ``_SEMANTIC_KEYS``, always present, plus
+    ``engines`` and ``sweep_max_variants``, each only when it differs
+    from its dataclass default (read from PipelineConfig, not
+    hardcoded): manifests written before those two keys existed keep
+    hashing identically under a default config."""
     from dataclasses import fields
     defaults = {f.name: f.default for f in fields(PipelineConfig)}
     d = asdict(cfg)
@@ -94,11 +98,6 @@ def _lineage_matches(doc_file: str, cfg: PipelineConfig,
 
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
-
-
-def discover_partitions(corpus_dir: str) -> List[str]:
-    return sorted(glob.glob(os.path.join(corpus_dir, "documents",
-                                         "*.parquet")))
 
 
 def committed_partitions(out_dir: str) -> Dict[str, Dict]:
@@ -148,7 +147,15 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
     from ..pipelines.extract import build_extract_pipeline
 
     cfg = cfg or PipelineConfig()
-    shards = discover_partitions(corpus_dir)
+    # the shards the plain pipeline reads; each partition is named by
+    # its shard's stem, so two shards must not share one
+    shards = document_files(corpus_dir) or []
+    by_stem: Dict[str, str] = {}
+    for shard in shards:
+        other = by_stem.setdefault(_stem(shard), shard)
+        if other != shard:
+            raise ValueError(f"shards {other} and {shard} share the "
+                             f"partition name {_stem(shard)!r}")
     os.makedirs(os.path.join(out_dir, "_manifests"), exist_ok=True)
     # clear stale in-flight temp dirs from a previous crashed run
     for stale in glob.glob(os.path.join(out_dir, "_tmp.*")):

@@ -67,9 +67,8 @@ _BUCKETS = ["maker_name_candidates", "vintage_candidates",
             "vintage_from_maker_region", "vintage_from_fallback"]
 _SPACE = pa.scalar(" ")
 _MEDIA = pa.scalar("media")
-_SPLICED = ("span_text", "maker_name", "raw", "vintage_str",
-            "vintage_by_yolo", "barcode", "blob")
-_MEDIA_ONLY = frozenset(_SPLICED) - {"span_text", "vintage_by_yolo"}
+_SPLICED = ("span_text", "maker_name", "raw", "vintage_str", "barcode",
+            "blob")
 
 
 def segment_sums(values: np.ndarray, starts: np.ndarray,
@@ -255,7 +254,6 @@ def route_media(decoded: Sequence[Dict], dets: Detections,
 
     return {"span_text": span_text, "maker_name": maker_name, "raw": raw,
             "vintage_str": vintage_str,
-            "vintage_by_yolo": pa.array(vintage_by_yolo),
             "barcode": pa.array(barcode_engine.scan_batch(decoded),
                                 pa.string())}
 
@@ -282,7 +280,6 @@ def _error_fields(reasons: List[str]) -> Dict[str, pa.Array]:
             "raw": pa.array([[{"bucket": "error", "text": r, "conf": None}]
                              for r in reasons], RAW_TYPE),
             "vintage_str": pa.nulls(k, pa.string()),
-            "vintage_by_yolo": pa.array(np.zeros(k, dtype=bool)),
             "barcode": pa.nulls(k, pa.string())}
 
 
@@ -397,12 +394,11 @@ class MediaExtract:
         # splice the media rows' values in — no full-column python
         # round-trips for the (large) text-span columns
         mask_arr = pa.array(mask_np)
-        # media-only columns (everything but span_text and
-        # vintage_by_yolo): scatter via a null-masked take, which also
-        # covers the nested ones replace_with_mask has no kernel for.
-        # Valid because text rows carry NULL there by construction
-        # (explode_spans), so "media value where media, null elsewhere"
-        # IS the splice.
+        # media-only columns (everything but span_text): scatter via a
+        # null-masked take, which also covers the nested ones
+        # replace_with_mask has no kernel for. Valid because text rows
+        # carry NULL there by construction (explode_spans), so "media
+        # value where media, null elsewhere" IS the splice.
         scatter_idx = np.zeros(len(batch), dtype=np.int64)
         scatter_idx[media_idx] = np.arange(len(media_idx))
         scatter = pa.array(scatter_idx, mask=~mask_np)
@@ -414,7 +410,7 @@ class MediaExtract:
             new_vals = vals[name]
             if new_vals.type != typ:
                 new_vals = new_vals.cast(typ)
-            if name in _MEDIA_ONLY:
+            if name != "span_text":
                 replaced = pc.array_take(new_vals, scatter)
             else:
                 replaced = pc.replace_with_mask(one_array(out.column(name)),

@@ -44,7 +44,6 @@ SPAN_ROW_FIELDS = [
     ("maker_name", pa.string()),
     ("raw", RAW_TYPE),
     ("vintage_str", pa.string()),
-    ("vintage_by_yolo", pa.bool_()),
     ("barcode", pa.string()),
     ("blob", BLOB_STRUCT),
 ]
@@ -79,7 +78,6 @@ def explode_spans(batch: pa.Table) -> pa.Table:
         "maker_name": nulls,
         "raw": pa.nulls(n, RAW_TYPE),
         "vintage_str": nulls,
-        "vintage_by_yolo": pa.array(np.zeros(n, dtype=bool)),
         "barcode": nulls,
         "blob": pa.nulls(n, BLOB_STRUCT),
     }, schema=SPAN_ROW_SCHEMA)

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..config import PipelineConfig
 from ..functions.imaging import stitch_horizontal
 from ..pipelines.extract import autosize_pool
+from ..sources.documents import read_documents
 from ..sources.media import MediaStore
 from ..synth import decode_payloads
 
@@ -91,19 +90,15 @@ class StitchPairs:
             "checksum": pa.array(sums, pa.string())})
 
 
-def build_stitch_pipeline(corpus_dir: str,
-                          cfg: Optional[PipelineConfig] = None):
+def build_stitch_pipeline(corpus_dir: str):
     """Lazy Dataset of (doc_id, stitched_h, stitched_w, checksum), one
     row per document with >= 2 media spans."""
     import ray
-    import ray.data as rd
 
     from .._rayprep import ensure_serializable
     ensure_serializable()
-    cfg = cfg or PipelineConfig()
     media_path = os.path.join(corpus_dir, "media")
-    docs = rd.read_parquet(os.path.join(corpus_dir, "documents"),
-                           columns=["doc_id", "spans"])
+    docs = read_documents(corpus_dir, columns=["doc_id", "spans"])
     pairs = docs.map_batches(first_two_media, batch_format="pyarrow")
 
     total_cpus = int(ray.cluster_resources().get("CPU", 4)) \

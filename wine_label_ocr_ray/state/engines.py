@@ -27,7 +27,9 @@ An adapter only has to implement the scalar methods (``detect``,
 over its scalar one. An adapter whose backend batches natively
 overrides the batch method instead; the synthetic engines and
 ``UltralyticsDetect`` do, and their scalar methods are the one-image
-entry points over it.
+entry points over it. An adapter's ``ocr_sweep`` takes
+``(decoded, max_variants, gray)``: ``ocr_sweeps`` passes each image's
+pixels as ``gray``.
 """
 
 from __future__ import annotations
@@ -112,21 +114,6 @@ class DetectEngine(ABC):
         return Detections.from_lists([self.detect(d) for d in decoded_list])
 
 
-def _sweep_takes_gray(ocr_engine) -> bool:
-    """Adapters written against the original 2-arg ``ocr_sweep``
-    signature must keep working: pass ``gray`` only if the engine
-    accepts it. A plain function, not an ``lru_cache`` module global:
-    cloudpickle serializes C-wrapped callables by module reference,
-    which breaks the package's by-value shipping to workers
-    (_rayprep.py)."""
-    import inspect
-    try:
-        return "gray" in inspect.signature(
-            ocr_engine.ocr_sweep).parameters
-    except (TypeError, ValueError, AttributeError):
-        return False
-
-
 class OcrEngine(ABC):
     @abstractmethod
     def ocr_box(self, decoded: Dict, box: List[float]) -> Tuple[List[str], List[float]]:
@@ -173,14 +160,7 @@ class OcrEngine(ABC):
                    grays: Optional[Sequence[np.ndarray]] = None
                    ) -> List[List[str]]:
         """``ocr_sweep`` of many images (``grays[i]``: image i's
-        pixels). An adapter with the original 2-arg ``ocr_sweep`` gets
-        no ``gray``; which kind it is, is resolved once per engine
-        instance, never per batch."""
-        takes_gray = self.__dict__.get("_takes_gray")
-        if takes_gray is None:
-            takes_gray = self._takes_gray = _sweep_takes_gray(self)
-        if not takes_gray:
-            return [self.ocr_sweep(d, max_variants) for d in decoded_list]
+        pixels)."""
         return [self.ocr_sweep(d, max_variants, gray=g)
                 for d, g in zip(decoded_list, grays)]
 
