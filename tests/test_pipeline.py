@@ -124,8 +124,8 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     default pool of two it is two 100-doc blocks. A block of four
     shards is still one call (the read keeps its own task: fused into
     the actor's operator it would call the actor once per shard). Tiny
-    batches on a multi-shard corpus keep Ray's default read and the
-    batch size."""
+    batches on a multi-shard corpus are planned too: one block, and
+    one actor call, per document."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
@@ -156,7 +156,7 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
 
     ds = build_extract_pipeline(corpus)
     assert plan(ds) == (None, 2)
-    assert read_of(ds).name == "ReadParquet->SplitBlocks(2)"
+    assert read_of(ds).name == "ReadParquet"
     assert len(ds.take_all()) == 200
     assert "MapBatches(DocMediaExtract): 2 tasks executed" in ds.stats()
 
@@ -185,13 +185,59 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     # 2 actors x ceil(400 / (2 x 16)) rounds = 26 blocks of <= ~16 docs
     assert plan(build_extract_pipeline(
         shards4, PipelineConfig(media_batch_size=16))) == (None, 26)
-    # 400 one-doc blocks would be at least Ray's own 200: Ray plans
+    # one-doc batches: 400 one-doc blocks
     assert plan(build_extract_pipeline(
-        shards4, PipelineConfig(media_batch_size=1))) == (1, -1)
+        shards4, PipelineConfig(media_batch_size=1))) == (None, 400)
     # a single parquet file plans as the corpus does
     one = document_files(shards4)[0]
     assert plan(build_extract_pipeline(
         one, PipelineConfig(media_concurrency=1))) == (None, 1)
+
+
+def test_planned_read_cuts_uneven_shards_one_doc_apart(ray_session,
+                                                       tmp_path):
+    """100 documents in 3 shards (33, 33 and 34) read as 3 planned
+    blocks of 40-document batches and as 4 of 25: the blocks cut
+    shards, differ by at most one document, each is one actor call,
+    and ``path`` names each row's own shard as ``document_files``
+    lists it."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.sources.documents import (document_files,
+                                                      read_documents)
+
+    corpus = str(tmp_path / "uneven")
+    generate_corpus(corpus, num_docs=100, seed=11, num_shards=3)
+    files = document_files(corpus)
+    shard_of = {d: f for f in files
+                for d in pq.read_table(f, columns=["doc_id"])
+                .column("doc_id").to_pylist()}
+    assert sorted(pq.read_metadata(f).num_rows for f in files) == \
+        [33, 33, 34]
+
+    for blocks in (3, 4):
+        ds = read_documents(files, blocks=blocks, include_paths=True)
+        got = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
+               for ref in bundle.block_refs]
+        sizes = sorted(b.num_rows for b in got)
+        assert len(sizes) == blocks and sum(sizes) == 100
+        assert sizes[-1] - sizes[0] <= 1, sizes
+        rows = [r for b in got for r in b.select(["doc_id", "path"])
+                .to_pylist()]
+        assert {r["doc_id"]: r["path"] for r in rows} == shard_of
+        assert f"ReadParquet: {blocks} tasks executed, {blocks} blocks " \
+            "produced" in ds.stats()
+
+    ds = build_extract_pipeline(corpus, PipelineConfig(
+        media_concurrency=1, media_batch_size=40), doc_files=files)
+    recs = ds.take_all()
+    assert all(r["path"] == shard_of[r["doc_id"]] for r in recs)
+    assert len(recs) == len(oracle_records(corpus))
+    stats = ds.stats()
+    assert "ReadParquet: 3 tasks executed, 3 blocks produced" in stats
+    assert "MapBatches(DocMediaExtract): 3 tasks executed" in stats
 
 
 def test_killed_media_actor_costs_nothing(ray_session, corpus, expected,
@@ -253,7 +299,7 @@ def test_killed_media_actor_costs_nothing(ray_session, corpus, expected,
 # get the package only as the by-value pickles of _rayprep.
 _BY_VALUE_DRIVER = """
 import sys
-root, corpus, ray_tmp, out = sys.argv[1:]
+root, ray_tmp, corpus, out = sys.argv[1:]
 sys.path.insert(0, root)
 import ray
 from wine_label_ocr_ray.pipelines.extract import build_extract_pipeline
@@ -265,6 +311,56 @@ try:
 finally:
     ray.shutdown()
 """
+
+# Driver for test_driver_imports_no_dataset_module: builds and runs the
+# flagship and a checkpointed run, then prints what it has imported.
+_LEAN_DRIVER = """
+import sys
+root, ray_tmp, corpus, out = sys.argv[1:]
+sys.path.insert(0, root)
+import ray
+from wine_label_ocr_ray.pipelines.extract import build_extract_pipeline
+from wine_label_ocr_ray.stages.checkpoint import run_checkpointed
+ray.init(address="local", num_cpus=2, object_store_memory=128 << 20,
+         include_dashboard=False, logging_level="ERROR",
+         log_to_driver=False, _temp_dir=ray_tmp)
+try:
+    records = len(build_extract_pipeline(corpus).take_all())
+    executed = run_checkpointed(corpus, out)["executed"]
+finally:
+    ray.shutdown()
+print("records", records, "executed", executed)
+print("pyarrow.dataset", "pyarrow.dataset" in sys.modules)
+"""
+
+
+def _run_driver(script: str, tmp_path, *args: str) -> str:
+    """Runs ``script`` as a fresh driver in a directory outside the
+    checkout, with ``PYTHONPATH`` cleared: its argv is the repository
+    root, a short Ray temp dir, then ``args``. Returns its output."""
+    work = tmp_path / "cwd"
+    work.mkdir()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
+    ray_tmp = tempfile.mkdtemp(prefix="wlor-")  # short: socket path cap
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, root, ray_tmp, *args],
+        cwd=str(work), env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT, start_new_session=True)
+    try:
+        log, _ = proc.communicate(timeout=300)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        shutil.rmtree(ray_tmp, ignore_errors=True)
+    log = log.decode(errors="replace")
+    errors = [line for line in log.splitlines() if "Error" in line]
+    assert proc.returncode == 0, "\n".join(errors[-10:])
+    return log
 
 
 def test_flagship_with_batch_only_engines(ray_session, corpus, expected):
@@ -315,28 +411,7 @@ def test_flagship_with_package_shipped_by_value_only(tmp_path):
     corpus = str(tmp_path / "corpus")
     generate_corpus(corpus, num_docs=40, seed=17)
     out = str(tmp_path / "records")
-    work = tmp_path / "cwd"
-    work.mkdir()
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONPATH", "RAY_ADDRESS")}
-    ray_tmp = tempfile.mkdtemp(prefix="wlor-")  # short: socket path cap
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _BY_VALUE_DRIVER, root, corpus, ray_tmp,
-         out], cwd=str(work), env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT, start_new_session=True)
-    try:
-        log, _ = proc.communicate(timeout=300)
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
-        shutil.rmtree(ray_tmp, ignore_errors=True)
-    errors = [line for line in log.decode(errors="replace").splitlines()
-              if "Error" in line]
-    assert proc.returncode == 0, "\n".join(errors[-10:])
+    _run_driver(_BY_VALUE_DRIVER, tmp_path, corpus, out)
     records = pq.read_table(out).to_pylist()
     expected = oracle_records(corpus)
     assert sorted(r["doc_id"] for r in records) == sorted(expected)
@@ -349,6 +424,58 @@ def test_flagship_with_package_shipped_by_value_only(tmp_path):
         assert r["blob"]["blob_fingerprint"] == \
             o["blob"]["blob_fingerprint"]
 
+
+def test_driver_imports_no_dataset_module(tmp_path):
+    """A fresh 2-CPU driver that builds and runs the flagship and a
+    checkpointed run never imports ``pyarrow.dataset``: the shards are
+    listed with ``os.walk`` and read by the planned reader, not by
+    Ray's parquet read (the module costs the driver ~3 MB)."""
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=40, seed=17, num_shards=2)
+    log = _run_driver(_LEAN_DRIVER, tmp_path, corpus,
+                      str(tmp_path / "ckpt")).splitlines()
+    assert "records 40 executed 2" in log
+    assert "pyarrow.dataset False" in log
+
+
+def test_package_ships_by_value_outside_the_source_tree(corpus, tmp_path):
+    """Ray-free: ``DocRecords`` pickled after ``ensure_serializable``
+    loads in an interpreter that cannot import the package (started
+    outside the checkout, ``PYTHONPATH`` cleared) and turns a batch of
+    documents into the same records as in this process. On Ray the
+    workers share the tests' cwd, the checkout, so they would import a
+    module that by-value registration missed by name."""
+    import pyarrow.parquet as pq
+    import ray.cloudpickle as cp
+
+    from wine_label_ocr_ray._rayprep import ensure_serializable
+    from wine_label_ocr_ray.pipelines.extract import DocRecords
+    from wine_label_ocr_ray.sources.documents import document_files
+
+    ensure_serializable()
+    docs = pq.read_table(document_files(corpus)[0]).slice(0, 20)
+    media = os.path.join(corpus, "media")
+    (tmp_path / "cls.pkl").write_bytes(cp.dumps(DocRecords))
+    pq.write_table(docs, str(tmp_path / "docs.parquet"))
+    script = (
+        "import pickle, sys\n"
+        "import pyarrow.parquet as pq\n"
+        "try:\n"
+        "    import wine_label_ocr_ray\n"
+        "    sys.exit('the package imports by name')\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "cls = pickle.loads(open('cls.pkl', 'rb').read())\n"
+        "pq.write_table(cls(sys.argv[1])(pq.read_table('docs.parquet')),"
+        " 'records.parquet')\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", script, media],
+                          cwd=str(tmp_path), env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = pq.read_table(str(tmp_path / "records.parquet"))
+    assert got.num_rows > 0
+    assert got.equals(DocRecords(media)(docs))
 
 def test_extraction_hit_rates(pipeline_records):
     """The corpus must exercise every path: vintages found, makers

@@ -315,3 +315,39 @@ def test_shards_sharing_a_stem_are_refused(small_corpus, tmp_path):
         run_checkpointed(corpus2, out)
     assert os.path.join("sub", "part-0001.parquet") in str(err.value)
     assert not os.path.exists(out)
+
+
+def test_shard_split_across_blocks_commits_once(ray_session, tmp_path):
+    """100 documents in shards of 33, 33 and 34 read as two 50-document
+    blocks, so the middle shard is split across both. Whichever block
+    arrives first, a crash after the first commit falls after one half
+    of that shard has arrived and before the other: it is not
+    committed, and the resume commits it exactly once, equal to a
+    clean run."""
+    import pyarrow.parquet as pq
+
+    from wine_label_ocr_ray.config import PipelineConfig
+    from wine_label_ocr_ray.sources.documents import document_files
+
+    corpus = str(tmp_path / "corpus")
+    generate_corpus(corpus, num_docs=100, seed=11, num_shards=3)
+    shards = document_files(corpus)
+    assert [pq.read_metadata(s).num_rows for s in shards] == [33, 33, 34]
+    cfg = PipelineConfig(media_concurrency=1, media_batch_size=50)
+
+    clean_dir = str(tmp_path / "clean")
+    clean = run_checkpointed(corpus, clean_dir, cfg)
+    assert clean["executed"] == 3 and clean["skipped"] == 0
+
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_checkpointed(corpus, out, cfg, fail_after=1)
+    committed = set(committed_partitions(out))
+    assert len(committed) == 1 and "part-0001" not in committed
+    summary = run_checkpointed(corpus, out, cfg)
+    assert summary["executed"] == 2 and summary["skipped"] == 1
+    assert summary["metrics"] == clean["metrics"]
+    resumed = _read_sorted(out)
+    assert resumed.equals(_read_sorted(clean_dir))
+    assert len(set(resumed.column("doc_id").to_pylist())) == \
+        resumed.num_rows

@@ -247,3 +247,35 @@ def test_read_documents_lance_dispatch(ray_session, monkeypatch, tmp_path):
 
     # parquet branch still resolves the corpus documents/ subdir
     assert docs_mod.read_documents(corpus).count() == 20
+
+
+def test_document_files_lists_what_pyarrow_discovers(tmp_path):
+    """``document_files`` lists a directory as pyarrow's dataset
+    discovery does: recursively, sorted, skipping files and directories
+    whose names start with ``_`` or ``.``; a file lists only itself,
+    and a corpus lists its ``documents/`` shards."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from wine_label_ocr_ray.sources.documents import document_files
+
+    root = tmp_path / "corpus" / "documents"
+    table = pa.table({"doc_id": ["d"]})
+    for rel in ("b.parquet", "a.parquet", "sub/c.parquet",
+                "sub/deeper/d.parquet", "sub/_e.parquet", "_meta.parquet",
+                ".hidden.parquet", "_tmp/f.parquet", ".git/g.parquet",
+                "sub/.cache/h.parquet"):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        pq.write_table(table, str(root / rel))
+
+    def discovered(path):
+        return sorted(pads.dataset(path, format="parquet").files)
+
+    listed = document_files(str(root))
+    assert listed == discovered(str(root))
+    assert [os.path.relpath(f, root) for f in listed] == [
+        "a.parquet", "b.parquet", "sub/c.parquet", "sub/deeper/d.parquet"]
+    assert document_files(str(tmp_path / "corpus")) == listed
+    one = str(root / "sub" / "c.parquet")
+    assert document_files(one) == discovered(one) == [one]

@@ -8,13 +8,15 @@ deserialize — observed as an infinite retry hang, not an error. With
 by-value registration the code ships inside the pickled callables, so
 no worker-side import is needed at all.
 
+Registering the top-level package is enough: cloudpickle pickles a
+module by value when the module or any parent package is registered,
+so no submodule needs importing here, and the driver imports only the
+modules its pipeline uses.
+
 Idempotent; called lazily by every pipeline/query builder.
 """
 
 from __future__ import annotations
-
-import importlib
-import pkgutil
 
 _done = False
 
@@ -25,14 +27,7 @@ def ensure_serializable() -> None:
         return
     import ray.cloudpickle as cp
 
-    import wine_label_ocr_ray as pkg
+    import wine_label_ocr_ray
 
-    mods = [pkg]
-    for info in pkgutil.walk_packages(pkg.__path__, pkg.__name__ + "."):
-        mods.append(importlib.import_module(info.name))
-    for mod in mods:
-        try:
-            cp.register_pickle_by_value(mod)
-        except Exception:
-            pass
+    cp.register_pickle_by_value(wine_label_ocr_ray)
     _done = True

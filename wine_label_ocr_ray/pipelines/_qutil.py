@@ -12,8 +12,7 @@ import ray.data
 
 
 def read_table(sf_dir: str, table: str, *, columns: Optional[List[str]] = None,
-               filter=None, override_num_blocks: Optional[int] = None
-               ) -> "ray.data.Dataset":
+               filter=None) -> "ray.data.Dataset":
     """Column-pruned (and optionally row-filtered) parquet read of one
     driver table."""
     from .._rayprep import ensure_serializable
@@ -23,8 +22,6 @@ def read_table(sf_dir: str, table: str, *, columns: Optional[List[str]] = None,
         kwargs["columns"] = columns
     if filter is not None:
         kwargs["filter"] = filter
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
     return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"),
                                  **kwargs)
 

@@ -7,13 +7,16 @@ operator. Consumers write/iterate — nothing here materializes the full
 dataset.
 
 A parquet read plans blocks of about ``media_batch_size`` documents
-(4,096) or fewer, in whole rounds of the actor pool (``read_blocks``),
-and each block is one actor batch, so a batch pays the fixed cost of
-one read block, one actor call and one write task, and every actor
-gets work. Memory is bounded by media, not by documents: the actor
-cuts each batch between documents into media passes of at most
-``MEDIA_PASS_ROWS`` media spans (a document with more is a pass of its
-own), and each pass runs the whole chain on its documents.
+(4,096) or fewer, in whole rounds of the actor pool (``read_blocks``).
+The shard footers are read once, on the driver, and the planned reader
+(``sources/documents.py::DocumentShards``) cuts the documents into
+that many contiguous ranges, at most one document apart. Each block
+is one actor batch, so a batch pays the fixed cost of one read block,
+one actor call and one write task, and every actor gets work. Memory
+is bounded by media, not by documents: the actor cuts each batch
+between documents into media passes of at most ``MEDIA_PASS_ROWS``
+media spans (a document with more is a pass of its own), and each pass
+runs the whole chain on its documents.
 """
 
 from __future__ import annotations
@@ -109,29 +112,25 @@ def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
     return min(size, cap)
 
 
-def read_blocks(rows: int, batch: int, pool: int) -> Optional[int]:
+def read_blocks(rows: int, batch: int, pool: int) -> int:
     """Read blocks for ``rows`` documents and a media pool of ``pool``
     actors: blocks of at most about ``batch`` documents, in whole
     rounds of the pool, so every actor gets work and none gets a round
-    more than the others. None (Ray's default read) when that is
-    Ray's ``read_op_min_num_blocks`` blocks or more: tiny batches on a
-    large input."""
-    blocks = pool * max(1, math.ceil(rows / (pool * batch)))
-    ctx = ray.data.DataContext.get_current()
-    return blocks if blocks < ctx.read_op_min_num_blocks else None
+    more than the others."""
+    return pool * max(1, math.ceil(rows / (pool * batch)))
 
 
 def build_extract_pipeline(corpus_dir: str,
                            cfg: Optional[PipelineConfig] = None,
                            doc_files: Optional[list] = None,
-                           doc_rows: Optional[int] = None
+                           footers: Optional[list] = None
                            ) -> "ray.data.Dataset":
     """Returns the lazy record Dataset (schema: schema.RECORD_SCHEMA).
     ``doc_files`` restricts the read to specific document shard files
     (the checkpointed runner's commit unit); each record then also
     carries its source shard in a ``path`` column, as given here.
-    ``doc_rows``, the input's document count when the caller has read
-    the shard footers already, only sizes the read."""
+    ``footers``, the shards' ``pq.FileMetaData`` when the caller has
+    read them already, plan the read."""
     from .._rayprep import ensure_serializable
     ensure_serializable()
     cfg = cfg or PipelineConfig()
@@ -143,27 +142,26 @@ def build_extract_pipeline(corpus_dir: str,
             if ray.is_initialized() else 4
         concurrency = autosize_pool(total_cpus, cfg.media_num_cpus)
 
-    # blocks of about one media batch, in whole rounds of the pool:
-    # Ray's default plans up to 200 blocks and splits small inputs, so
-    # each batch would pay several blocks' and actor calls' fixed
-    # costs. A Lance input (no parquet files), or tiny batches on a
-    # large input (``read_blocks`` is None), keeps Ray's default read
-    # and Ray cuts batches of ``media_batch_size`` documents.
     files = document_files(corpus_dir) if doc_files is None else doc_files
-    blocks, batch = None, cfg.media_batch_size
-    if files:
-        if doc_rows is None:
-            doc_rows = sum(pq.read_metadata(f).num_rows for f in files)
-        blocks = read_blocks(doc_rows, batch, concurrency
-                             if isinstance(concurrency, int)
-                             else max(concurrency))
-        if blocks is not None:
-            # a block is one batch: a batch size would make Ray join
-            # blocks smaller than it into one call (shards that do not
-            # split evenly into the blocks give blocks a shard apart)
-            batch = None
-    docs = read_documents(files or corpus_dir, override_num_blocks=blocks,
-                          include_paths=doc_files is not None)
+    if files is None:
+        # a Lance input: Ray's read, cut into batches of
+        # ``media_batch_size`` documents
+        docs, batch = read_documents(corpus_dir), cfg.media_batch_size
+    else:
+        # blocks of about one media batch, in whole rounds of the pool:
+        # Ray's default plans up to 200 blocks, so each batch would pay
+        # several blocks' and actor calls' fixed costs
+        if footers is None:
+            footers = [pq.read_metadata(f) for f in files]
+        pool = concurrency if isinstance(concurrency, int) \
+            else max(concurrency)
+        blocks = read_blocks(sum(m.num_rows for m in footers),
+                             cfg.media_batch_size, pool)
+        docs = read_documents(files, footers=footers, blocks=blocks,
+                              include_paths=doc_files is not None)
+        # a block is one batch: a batch size would make Ray join blocks
+        # smaller than it into one call
+        batch = None
     records = docs.map_batches(
         DocMediaExtract,
         fn_constructor_kwargs=dict(

@@ -4,15 +4,26 @@ Parquet otherwise — identical schema, SURVEY.md section 1.2).
 The reference's per-image ``cv2.imread`` source
 (``final_run_ocr.py:388-396``) maps to reading the interleaved document
 table; media payloads are resolved separately (sources/media.py).
+
+Parquet shards are read by ``DocumentShards``, a reader planned on the
+driver from the shard footers the caller has read: each read task is
+one contiguous range of documents across the sorted shards, so a plan
+of ``blocks`` ranges gives blocks at most one document apart, and no
+metadata or sampling task runs before the read.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
-import pyarrow.dataset as pads
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
+from ray.data.block import BlockMetadata
+from ray.data.datasource import Datasource, ReadTask
 
 
 def _has_lance() -> bool:
@@ -23,32 +34,139 @@ def _has_lance() -> bool:
         return False
 
 
+def _listed(name: str) -> bool:
+    # pyarrow's discovery skips names that start with "." or "_"
+    return not name.startswith((".", "_"))
+
+
 def document_files(path: str) -> Optional[List[str]]:
     """The parquet files ``read_documents`` reads at ``path``, sorted:
-    a corpus's ``documents/`` shards, a directory's parquet files (as
-    Ray lists them: recursively, skipping names that start with ``.``
+    a corpus's ``documents/`` shards, a directory's files (as pyarrow
+    discovers them: recursively, skipping names that start with ``.``
     or ``_``) or the one file; None for a Lance dataset."""
     if path.endswith(".lance") and _has_lance():
         return None
     if os.path.isdir(path) and os.path.exists(os.path.join(path, "documents")):
         path = os.path.join(path, "documents")
-    return sorted(pads.dataset(path, format="parquet").files)
+    if not os.path.isdir(path):
+        return [path]
+    files = []
+    for root, dirs, names in os.walk(path):
+        dirs[:] = [d for d in dirs if _listed(d)]
+        files.extend(os.path.join(root, n) for n in names if _listed(n))
+    return sorted(files)
+
+
+def _read_ranges(ranges: Sequence, columns: Optional[List[str]],
+                 include_paths: bool) -> Iterator[pa.Table]:
+    """One block: rows ``[lo, hi)`` of each ``(path, lo, hi)`` range,
+    read as the row groups that cover them and sliced."""
+    parts = []
+    for path, lo, hi in ranges:
+        with pq.ParquetFile(path) as f:
+            md = f.metadata
+            starts = np.cumsum([0] + [md.row_group(i).num_rows
+                                      for i in range(md.num_row_groups)])
+            first = int(np.searchsorted(starts, lo, side="right")) - 1
+            last = int(np.searchsorted(starts, hi, side="left"))
+            part = f.read_row_groups(range(first, last), columns=columns,
+                                     use_threads=False)
+        part = part.slice(lo - int(starts[first]), hi - lo)
+        if include_paths:
+            part = part.append_column(
+                "path", pa.array([path] * part.num_rows, pa.string()))
+        parts.append(part)
+    yield pa.concat_tables(parts)
+
+
+class DocumentShards(Datasource):
+    """Parquet shards as read tasks planned from their footers
+    (``pq.FileMetaData``, one per file). With ``blocks`` the documents
+    are cut into that many contiguous ranges (fewer when there are
+    fewer documents) whose sizes differ by at most one document;
+    without, each shard is one task. ``include_paths`` adds each row's
+    file as ``path``, as given in ``files``."""
+
+    def __init__(self, files: Sequence[str], footers: Sequence,
+                 blocks: Optional[int] = None,
+                 columns: Optional[List[str]] = None,
+                 include_paths: bool = False):
+        rows = np.array([m.num_rows for m in footers], dtype=np.int64)
+        # documents before each shard, then the total
+        starts = np.concatenate([[0], np.cumsum(rows)])
+        self._docs = total = int(starts[-1])
+        if blocks is None:
+            cuts = np.unique(starts)
+        else:
+            cuts = np.unique(np.arange(blocks + 1) * total // blocks)
+        # the in-memory estimate: the footers' uncompressed bytes
+        self._nbytes = sum(m.row_group(i).total_byte_size
+                           for m in footers for i in range(m.num_row_groups))
+        self._columns = columns
+        self._include_paths = include_paths
+        self._schema = None
+        if len(footers):
+            schema = footers[0].schema.to_arrow_schema()
+            if columns is not None:
+                schema = pa.schema([schema.field(c) for c in columns])
+            if include_paths:
+                schema = schema.append(pa.field("path", pa.string()))
+            self._schema = schema
+        self._blocks = []
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+            # the shards holding documents [a, b)
+            lo = int(np.searchsorted(starts, a, side="right")) - 1
+            hi = int(np.searchsorted(starts, b, side="left"))
+            self._blocks.append(
+                [(files[k], max(a, int(starts[k])) - int(starts[k]),
+                  min(b, int(starts[k + 1])) - int(starts[k]))
+                 for k in range(lo, hi) if rows[k]])
+
+    def get_name(self) -> str:
+        # keeps the operator named ReadParquet, as Ray's parquet read is
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> Optional[int]:
+        return self._nbytes
+
+    def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
+        """The planned tasks, whatever ``parallelism`` Ray asks for."""
+        tasks = []
+        for ranges in self._blocks:
+            n = sum(hi - lo for _, lo, hi in ranges)
+            meta = BlockMetadata(
+                num_rows=n, size_bytes=self._nbytes * n // self._docs,
+                input_files=sorted({p for p, _, _ in ranges}),
+                exec_stats=None)
+            tasks.append(ReadTask(
+                functools.partial(_read_ranges, ranges, self._columns,
+                                  self._include_paths),
+                meta, schema=self._schema))
+        return tasks
 
 
 def read_documents(path: Union[str, List[str]], *,
                    columns: Optional[List[str]] = None,
-                   override_num_blocks: Optional[int] = None,
+                   footers: Optional[Sequence] = None,
+                   blocks: Optional[int] = None,
                    include_paths: bool = False) -> "ray.data.Dataset":
     """Read the (doc_id, spans) table. ``path`` may be a directory of
     parquet files, a single file, a list of parquet files (as
-    ``document_files`` gives) or a Lance dataset directory;
-    ``include_paths`` adds each parquet row's file as ``path``."""
-    kwargs = {}
-    if columns is not None:
-        kwargs["columns"] = columns
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
+    ``document_files`` gives) or a Lance dataset directory. For
+    parquet, ``footers`` are the files' ``pq.FileMetaData`` when the
+    caller has read them (read here otherwise), ``blocks`` plans the
+    read (``DocumentShards``) and ``include_paths`` adds each row's file
+    as ``path``."""
     files = path if isinstance(path, list) else document_files(path)
     if files is None:
+        kwargs = {} if columns is None else {"columns": columns}
         return ray.data.read_lance(path, **kwargs)
-    return ray.data.read_parquet(files, include_paths=include_paths, **kwargs)
+    if footers is None:
+        footers = [pq.read_metadata(f) for f in files]
+    # the read tasks call ``_read_ranges``: it ships by value
+    from .._rayprep import ensure_serializable
+    ensure_serializable()
+    source = DocumentShards(files, footers, blocks, columns, include_paths)
+    # a planned read asks for exactly its tasks, so Ray splits none
+    planned = max(1, len(source._blocks)) if blocks is not None else None
+    return ray.data.read_datasource(source, override_num_blocks=planned)

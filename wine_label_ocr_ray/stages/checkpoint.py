@@ -187,11 +187,14 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
         except OSError:
             pass
 
-    pending = {s: {"left": pq.read_metadata(s).num_rows, "writer": None,
+    # each footer is read once: it counts the shard's documents here
+    # and plans the read
+    footers = {s: pq.read_metadata(s) for s in shards if s not in done}
+    pending = {s: {"left": m.num_rows, "writer": None,
                    "lineage": _lineage(s, cfg),
                    "metrics": dict(dict.fromkeys(totals, 0),
                                    conf_sum=0.0, conf_n=0)}
-               for s in shards if s not in done}
+               for s, m in footers.items()}
 
     def write(shard: str, records) -> None:
         st = pending[shard]
@@ -240,7 +243,7 @@ def run_checkpointed(corpus_dir: str, out_dir: str,
         if pending:
             records = build_extract_pipeline(
                 corpus_dir, cfg, doc_files=list(pending),
-                doc_rows=sum(st["left"] for st in pending.values()))
+                footers=[footers[s] for s in pending])
             batches = iter(records.iter_batches(batch_size=None,
                                                 batch_format="pyarrow"))
         for batch in batches or ():

@@ -160,7 +160,9 @@ class OcrEngine(ABC):
                    grays: Optional[Sequence[np.ndarray]] = None
                    ) -> List[List[str]]:
         """``ocr_sweep`` of many images (``grays[i]``: image i's
-        pixels)."""
+        pixels; without ``grays`` no image has pixels)."""
+        if grays is None:
+            grays = [None] * len(decoded_list)
         return [self.ocr_sweep(d, max_variants, gray=g)
                 for d, g in zip(decoded_list, grays)]
 
