@@ -124,8 +124,8 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     default pool of two it is two 100-doc blocks. A block of four
     shards is still one call (the read keeps its own task: fused into
     the actor's operator it would call the actor once per shard). Tiny
-    batches on a multi-shard corpus are planned too: one block, and
-    one actor call, per document."""
+    batches on a multi-shard corpus are planned too: each shard is one
+    read task, split by Ray into one-doc blocks."""
     from ray.data._internal.logical.optimizers import get_execution_plan
 
     from wine_label_ocr_ray.config import PipelineConfig
@@ -156,7 +156,7 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
 
     ds = build_extract_pipeline(corpus)
     assert plan(ds) == (None, 2)
-    assert read_of(ds).name == "ReadParquet"
+    assert read_of(ds).name == "ReadParquet->SplitBlocks(2)"
     assert len(ds.take_all()) == 200
     assert "MapBatches(DocMediaExtract): 2 tasks executed" in ds.stats()
 
@@ -185,28 +185,30 @@ def test_read_blocks_align_with_media_batches(ray_session, corpus,
     # 2 actors x ceil(400 / (2 x 16)) rounds = 26 blocks of <= ~16 docs
     assert plan(build_extract_pipeline(
         shards4, PipelineConfig(media_batch_size=16))) == (None, 26)
-    # one-doc batches: 400 one-doc blocks
-    assert plan(build_extract_pipeline(
-        shards4, PipelineConfig(media_batch_size=1))) == (None, 400)
+    # one-doc batches: each 100-doc shard split into 100 one-doc blocks
+    ds = build_extract_pipeline(shards4, PipelineConfig(media_batch_size=1))
+    assert plan(ds) == (None, 400)
+    assert read_of(ds).name == "ReadParquet->SplitBlocks(100)"
     # a single parquet file plans as the corpus does
     one = document_files(shards4)[0]
     assert plan(build_extract_pipeline(
         one, PipelineConfig(media_concurrency=1))) == (None, 1)
 
 
-def test_planned_read_cuts_uneven_shards_one_doc_apart(ray_session,
-                                                       tmp_path):
-    """100 documents in 3 shards (33, 33 and 34) read as 3 planned
-    blocks of 40-document batches and as 4 of 25: the blocks cut
-    shards, differ by at most one document, each is one actor call,
-    and ``path`` names each row's own shard as ``document_files``
-    lists it."""
+def test_planned_read_groups_whole_shards(ray_session, tmp_path):
+    """100 documents in shards of 33, 33 and 34. Asked for 2 blocks,
+    the read groups the first two shards (the cut goes to the shard
+    boundary nearest 50); asked for 3, each shard is a task; asked for
+    6, each shard is a task and Ray splits its block in two. Every
+    shard is read by one task, ``path`` names each row's own shard as
+    ``document_files`` lists it, and each planned block is one actor
+    call."""
     import pyarrow.parquet as pq
     import ray
 
     from wine_label_ocr_ray.config import PipelineConfig
-    from wine_label_ocr_ray.sources.documents import (document_files,
-                                                      read_documents)
+    from wine_label_ocr_ray.sources.documents import (DocumentShards,
+                                                      document_files)
 
     corpus = str(tmp_path / "uneven")
     generate_corpus(corpus, num_docs=100, seed=11, num_shards=3)
@@ -214,21 +216,26 @@ def test_planned_read_cuts_uneven_shards_one_doc_apart(ray_session,
     shard_of = {d: f for f in files
                 for d in pq.read_table(f, columns=["doc_id"])
                 .column("doc_id").to_pylist()}
-    assert sorted(pq.read_metadata(f).num_rows for f in files) == \
-        [33, 33, 34]
+    assert [pq.read_metadata(f).num_rows for f in files] == [33, 33, 34]
 
-    for blocks in (3, 4):
-        ds = read_documents(files, blocks=blocks, include_paths=True)
+    source = DocumentShards(files, include_paths=True)
+    for blocks, groups, sizes, name in (
+            (2, [files[:2], files[2:]], [34, 66], "ReadParquet"),
+            (3, [[f] for f in files], [33, 33, 34], "ReadParquet"),
+            (6, [[f] for f in files], [16, 17, 17, 16, 17, 17],
+             "ReadParquet->SplitBlocks(2)")):
+        assert [t.metadata.input_files
+                for t in source.get_read_tasks(blocks)] == groups
+        ds = ray.data.read_datasource(source, override_num_blocks=blocks)
         got = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles()
                for ref in bundle.block_refs]
-        sizes = sorted(b.num_rows for b in got)
-        assert len(sizes) == blocks and sum(sizes) == 100
-        assert sizes[-1] - sizes[0] <= 1, sizes
+        assert sorted(b.num_rows for b in got) == sorted(sizes)
         rows = [r for b in got for r in b.select(["doc_id", "path"])
                 .to_pylist()]
+        assert len(rows) == 100
         assert {r["doc_id"]: r["path"] for r in rows} == shard_of
-        assert f"ReadParquet: {blocks} tasks executed, {blocks} blocks " \
-            "produced" in ds.stats()
+        assert f"{name}: {len(groups)} tasks executed, {len(sizes)} " \
+            "blocks produced" in ds.stats()
 
     ds = build_extract_pipeline(corpus, PipelineConfig(
         media_concurrency=1, media_batch_size=40), doc_files=files)

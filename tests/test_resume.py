@@ -318,22 +318,33 @@ def test_shards_sharing_a_stem_are_refused(small_corpus, tmp_path):
 
 
 def test_shard_split_across_blocks_commits_once(ray_session, tmp_path):
-    """100 documents in shards of 33, 33 and 34 read as two 50-document
-    blocks, so the middle shard is split across both. Whichever block
-    arrives first, a crash after the first commit falls after one half
-    of that shard has arrived and before the other: it is not
+    """100 documents in shards of 5, 15 and 80 read as 3 planned blocks:
+    the reader groups the first two shards into one task (each cut goes
+    to the nearest shard boundary) and Ray splits each task's block in
+    two, so shard 1 is split across the first block (with all of shard
+    0) and the second. Whichever task arrives first, a crash after the
+    first commit falls before shard 1's second half: it is not
     committed, and the resume commits it exactly once, equal to a
     clean run."""
     import pyarrow.parquet as pq
 
     from wine_label_ocr_ray.config import PipelineConfig
-    from wine_label_ocr_ray.sources.documents import document_files
+    from wine_label_ocr_ray.sources.documents import (DocumentShards,
+                                                      document_files)
 
     corpus = str(tmp_path / "corpus")
-    generate_corpus(corpus, num_docs=100, seed=11, num_shards=3)
+    generate_corpus(corpus, num_docs=100, seed=11, num_shards=1)
+    docs = os.path.join(corpus, "documents")
+    table = pq.read_table(os.path.join(docs, "part-0000.parquet"))
+    for k, (a, b) in enumerate(((0, 5), (5, 20), (20, 100))):
+        pq.write_table(table.slice(a, b - a),
+                       os.path.join(docs, f"part-{k:04d}.parquet"))
     shards = document_files(corpus)
-    assert [pq.read_metadata(s).num_rows for s in shards] == [33, 33, 34]
-    cfg = PipelineConfig(media_concurrency=1, media_batch_size=50)
+    assert [t.metadata.input_files for t in
+            DocumentShards(shards).get_read_tasks(3)] == \
+        [shards[:2], shards[2:]]
+    # one actor, ceil(100 / 34) = 3 blocks
+    cfg = PipelineConfig(media_concurrency=1, media_batch_size=34)
 
     clean_dir = str(tmp_path / "clean")
     clean = run_checkpointed(corpus, clean_dir, cfg)
@@ -350,4 +361,23 @@ def test_shard_split_across_blocks_commits_once(ray_session, tmp_path):
     resumed = _read_sorted(out)
     assert resumed.equals(_read_sorted(clean_dir))
     assert len(set(resumed.column("doc_id").to_pylist())) == \
-        resumed.num_rows
+        resumed.num_rows == 100
+
+
+def test_missing_corpus_leaves_the_output_alone(ray_session, small_corpus,
+                                                tmp_path):
+    """A corpus path that does not exist (mistyped, or not mounted)
+    raises ``FileNotFoundError`` before the run touches its output:
+    every committed partition and manifest stays in place."""
+    out = str(tmp_path / "out")
+    assert run_checkpointed(small_corpus, out)["executed"] == 2
+
+    def tree():
+        return sorted(os.path.relpath(os.path.join(d, n), out)
+                      for d, _, names in os.walk(out) for n in names)
+
+    before = tree()
+    with pytest.raises(FileNotFoundError):
+        run_checkpointed(str(tmp_path / "missing"), out)
+    assert tree() == before
+    assert set(committed_partitions(out)) == {"part-0000", "part-0001"}

@@ -64,17 +64,18 @@ def test_doc_boundaries_at_smallest_batches(ray_session, skewed_corpus,
                                             media_batch_size):
     """Every batch boundary is a document boundary: with 1- or
     3-document media batches, every record still equals the oracle's.
-    The planned read cuts the 101 documents into blocks of at most
-    ``media_batch_size`` documents, and each block is one batch."""
+    The read plans 2 x ceil(101 / (2 x batch)) blocks for this
+    session's 2-actor pool: each of the three shards (50, 50 and the
+    1-document heavy one) is one read task, Ray splits each task's
+    block into as many pieces (some of the heavy shard's are empty),
+    and each block is one batch."""
     from wine_label_ocr_ray.config import PipelineConfig
 
     ds = build_extract_pipeline(skewed_corpus, PipelineConfig(
         media_batch_size=media_batch_size))
     assert ds._logical_plan.dag._batch_size is None
-    # this session's 2-actor pool: 2 x ceil(101 / (2 x batch)) blocks,
-    # no more than the 101 documents
     blocks = ds._logical_plan.dag.input_dependencies[0]._parallelism
-    assert blocks == {1: 101, 3: 34}[media_batch_size]
+    assert blocks == {1: 102, 3: 34}[media_batch_size]
     recs = ds.take_all()
     expected = oracle_records(skewed_corpus)
     assert sorted(r["doc_id"] for r in recs) == sorted(expected)

@@ -253,7 +253,8 @@ def test_document_files_lists_what_pyarrow_discovers(tmp_path):
     """``document_files`` lists a directory as pyarrow's dataset
     discovery does: recursively, sorted, skipping files and directories
     whose names start with ``_`` or ``.``; a file lists only itself,
-    and a corpus lists its ``documents/`` shards."""
+    a corpus lists its ``documents/`` shards, and a path that does not
+    exist raises, as pyarrow's does."""
     import pyarrow as pa
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
@@ -279,3 +280,7 @@ def test_document_files_lists_what_pyarrow_discovers(tmp_path):
     assert document_files(str(tmp_path / "corpus")) == listed
     one = str(root / "sub" / "c.parquet")
     assert document_files(one) == discovered(one) == [one]
+    missing = str(tmp_path / "missing")
+    for listing in (document_files, discovered):
+        with pytest.raises(FileNotFoundError):
+            listing(missing)

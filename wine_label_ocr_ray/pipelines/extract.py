@@ -7,10 +7,11 @@ operator. Consumers write/iterate — nothing here materializes the full
 dataset.
 
 A parquet read plans blocks of about ``media_batch_size`` documents
-(4,096) or fewer, in whole rounds of the actor pool (``read_blocks``).
-The shard footers are read once, on the driver, and the planned reader
-(``sources/documents.py::DocumentShards``) cuts the documents into
-that many contiguous ranges, at most one document apart. Each block
+(4,096) or fewer, in whole rounds of the actor pool (``read_blocks``),
+from the shard footers, read once on the driver. The reader
+(``sources/documents.py::DocumentShards``) groups whole shards into
+that many read tasks, as evenly as whole shards allow, and Ray splits
+each task's block when there are fewer shards than blocks. Each block
 is one actor batch, so a batch pays the fixed cost of one read block,
 one actor call and one write task, and every actor gets work. Memory
 is bounded by media, not by documents: the actor cuts each batch
@@ -28,11 +29,11 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray.data
 
 from ..config import PipelineConfig
-from ..sources.documents import document_files, read_documents
+from ..sources.documents import (DocumentShards, document_files,
+                                 read_documents)
 from ..stages.media import MediaExtract
 from ..stages.reassemble import assemble_docs
 from ..stages.spans import explode_spans, extract_text_spans, one_array
@@ -151,14 +152,13 @@ def build_extract_pipeline(corpus_dir: str,
         # blocks of about one media batch, in whole rounds of the pool:
         # Ray's default plans up to 200 blocks, so each batch would pay
         # several blocks' and actor calls' fixed costs
-        if footers is None:
-            footers = [pq.read_metadata(f) for f in files]
+        source = DocumentShards(files, footers,
+                                include_paths=doc_files is not None)
         pool = concurrency if isinstance(concurrency, int) \
             else max(concurrency)
-        blocks = read_blocks(sum(m.num_rows for m in footers),
-                             cfg.media_batch_size, pool)
-        docs = read_documents(files, footers=footers, blocks=blocks,
-                              include_paths=doc_files is not None)
+        docs = ray.data.read_datasource(
+            source, override_num_blocks=read_blocks(
+                source.num_rows, cfg.media_batch_size, pool))
         # a block is one batch: a batch size would make Ray join blocks
         # smaller than it into one call
         batch = None

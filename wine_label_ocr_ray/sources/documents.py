@@ -6,10 +6,10 @@ The reference's per-image ``cv2.imread`` source
 table; media payloads are resolved separately (sources/media.py).
 
 Parquet shards are read by ``DocumentShards``, a reader planned on the
-driver from the shard footers the caller has read: each read task is
-one contiguous range of documents across the sorted shards, so a plan
-of ``blocks`` ranges gives blocks at most one document apart, and no
-metadata or sampling task runs before the read.
+driver from the shard footers: each read task reads whole shards, once
+each, grouped in order so that the groups' documents are as even as
+whole shards allow, and carries their footers, so none is read twice.
+No metadata or sampling task runs before the read.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ def document_files(path: str) -> Optional[List[str]]:
     """The parquet files ``read_documents`` reads at ``path``, sorted:
     a corpus's ``documents/`` shards, a directory's files (as pyarrow
     discovers them: recursively, skipping names that start with ``.``
-    or ``_``) or the one file; None for a Lance dataset."""
+    or ``_``) or the one file; None for a Lance dataset. Raises
+    ``FileNotFoundError`` when ``path`` does not exist."""
     if path.endswith(".lance") and _has_lance():
         return None
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
     if os.path.isdir(path) and os.path.exists(os.path.join(path, "documents")):
         path = os.path.join(path, "documents")
     if not os.path.isdir(path):
@@ -57,21 +60,14 @@ def document_files(path: str) -> Optional[List[str]]:
     return sorted(files)
 
 
-def _read_ranges(ranges: Sequence, columns: Optional[List[str]],
+def _read_shards(shards: Sequence, columns: Optional[List[str]],
                  include_paths: bool) -> Iterator[pa.Table]:
-    """One block: rows ``[lo, hi)`` of each ``(path, lo, hi)`` range,
-    read as the row groups that cover them and sliced."""
+    """One block: the whole shards, ``(path, footer)`` each, in order;
+    the footer the driver read is not read again."""
     parts = []
-    for path, lo, hi in ranges:
-        with pq.ParquetFile(path) as f:
-            md = f.metadata
-            starts = np.cumsum([0] + [md.row_group(i).num_rows
-                                      for i in range(md.num_row_groups)])
-            first = int(np.searchsorted(starts, lo, side="right")) - 1
-            last = int(np.searchsorted(starts, hi, side="left"))
-            part = f.read_row_groups(range(first, last), columns=columns,
-                                     use_threads=False)
-        part = part.slice(lo - int(starts[first]), hi - lo)
+    for path, footer in shards:
+        with pq.ParquetFile(path, metadata=footer) as f:
+            part = f.read(columns=columns, use_threads=False)
         if include_paths:
             part = part.append_column(
                 "path", pa.array([path] * part.num_rows, pa.string()))
@@ -81,27 +77,27 @@ def _read_ranges(ranges: Sequence, columns: Optional[List[str]],
 
 class DocumentShards(Datasource):
     """Parquet shards as read tasks planned from their footers
-    (``pq.FileMetaData``, one per file). With ``blocks`` the documents
-    are cut into that many contiguous ranges (fewer when there are
-    fewer documents) whose sizes differ by at most one document;
-    without, each shard is one task. ``include_paths`` adds each row's
-    file as ``path``, as given in ``files``."""
+    (``pq.FileMetaData``, one per file; read here when not given).
+    Asked for ``parallelism`` tasks, it groups the shards that hold
+    documents, in order, cutting at the shard boundary nearest each
+    even cut of the documents, so each shard is read once and the
+    groups differ by at most about a shard; Ray splits each task's
+    block when there are fewer tasks than asked. ``include_paths``
+    adds each row's file as ``path``, as given in ``files``."""
 
-    def __init__(self, files: Sequence[str], footers: Sequence,
-                 blocks: Optional[int] = None,
+    def __init__(self, files: Sequence[str],
+                 footers: Optional[Sequence] = None,
                  columns: Optional[List[str]] = None,
                  include_paths: bool = False):
-        rows = np.array([m.num_rows for m in footers], dtype=np.int64)
-        # documents before each shard, then the total
-        starts = np.concatenate([[0], np.cumsum(rows)])
-        self._docs = total = int(starts[-1])
-        if blocks is None:
-            cuts = np.unique(starts)
-        else:
-            cuts = np.unique(np.arange(blocks + 1) * total // blocks)
-        # the in-memory estimate: the footers' uncompressed bytes
-        self._nbytes = sum(m.row_group(i).total_byte_size
-                           for m in footers for i in range(m.num_row_groups))
+        if footers is None:
+            footers = [pq.read_metadata(f) for f in files]
+        self._held = held = [(f, m) for f, m in zip(files, footers)
+                             if m.num_rows]
+        # documents and uncompressed bytes before each shard, then all
+        self._starts = np.cumsum([0] + [m.num_rows for _, m in held])
+        self._bytes = np.cumsum([0] + [
+            sum(m.row_group(i).total_byte_size
+                for i in range(m.num_row_groups)) for _, m in held])
         self._columns = columns
         self._include_paths = include_paths
         self._schema = None
@@ -112,61 +108,54 @@ class DocumentShards(Datasource):
             if include_paths:
                 schema = schema.append(pa.field("path", pa.string()))
             self._schema = schema
-        self._blocks = []
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-            # the shards holding documents [a, b)
-            lo = int(np.searchsorted(starts, a, side="right")) - 1
-            hi = int(np.searchsorted(starts, b, side="left"))
-            self._blocks.append(
-                [(files[k], max(a, int(starts[k])) - int(starts[k]),
-                  min(b, int(starts[k + 1])) - int(starts[k]))
-                 for k in range(lo, hi) if rows[k]])
+
+    @property
+    def num_rows(self) -> int:
+        return int(self._starts[-1])
 
     def get_name(self) -> str:
         # keeps the operator named ReadParquet, as Ray's parquet read is
         return "Parquet"
 
     def estimate_inmemory_data_size(self) -> Optional[int]:
-        return self._nbytes
+        return int(self._bytes[-1])
 
     def get_read_tasks(self, parallelism: int) -> List[ReadTask]:
-        """The planned tasks, whatever ``parallelism`` Ray asks for."""
+        starts = self._starts
+        if not self._held:
+            return []
+        even = np.arange(parallelism + 1) * starts[-1] / parallelism
+        right = np.minimum(np.searchsorted(starts, even), len(starts) - 1)
+        left = np.maximum(right - 1, 0)
+        nearest = np.where(even - starts[left] <= starts[right] - even,
+                           left, right)
+        cuts = np.unique(nearest).tolist()
         tasks = []
-        for ranges in self._blocks:
-            n = sum(hi - lo for _, lo, hi in ranges)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            shards = self._held[a:b]
             meta = BlockMetadata(
-                num_rows=n, size_bytes=self._nbytes * n // self._docs,
-                input_files=sorted({p for p, _, _ in ranges}),
-                exec_stats=None)
+                num_rows=int(starts[b] - starts[a]),
+                size_bytes=int(self._bytes[b] - self._bytes[a]),
+                input_files=[f for f, _ in shards], exec_stats=None)
             tasks.append(ReadTask(
-                functools.partial(_read_ranges, ranges, self._columns,
+                functools.partial(_read_shards, shards, self._columns,
                                   self._include_paths),
                 meta, schema=self._schema))
         return tasks
 
 
 def read_documents(path: Union[str, List[str]], *,
-                   columns: Optional[List[str]] = None,
-                   footers: Optional[Sequence] = None,
-                   blocks: Optional[int] = None,
-                   include_paths: bool = False) -> "ray.data.Dataset":
+                   columns: Optional[List[str]] = None
+                   ) -> "ray.data.Dataset":
     """Read the (doc_id, spans) table. ``path`` may be a directory of
     parquet files, a single file, a list of parquet files (as
-    ``document_files`` gives) or a Lance dataset directory. For
-    parquet, ``footers`` are the files' ``pq.FileMetaData`` when the
-    caller has read them (read here otherwise), ``blocks`` plans the
-    read (``DocumentShards``) and ``include_paths`` adds each row's file
-    as ``path``."""
+    ``document_files`` gives) or a Lance dataset directory. Ray plans
+    the parquet read's task count (``DocumentShards``)."""
     files = path if isinstance(path, list) else document_files(path)
     if files is None:
         kwargs = {} if columns is None else {"columns": columns}
         return ray.data.read_lance(path, **kwargs)
-    if footers is None:
-        footers = [pq.read_metadata(f) for f in files]
-    # the read tasks call ``_read_ranges``: it ships by value
+    # the read tasks call ``_read_shards``: it ships by value
     from .._rayprep import ensure_serializable
     ensure_serializable()
-    source = DocumentShards(files, footers, blocks, columns, include_paths)
-    # a planned read asks for exactly its tasks, so Ray splits none
-    planned = max(1, len(source._blocks)) if blocks is not None else None
-    return ray.data.read_datasource(source, override_num_blocks=planned)
+    return ray.data.read_datasource(DocumentShards(files, columns=columns))
