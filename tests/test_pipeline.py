@@ -507,18 +507,9 @@ def test_autosize_pool_never_reserves_whole_cluster():
     assert autosize_pool(2) == 1      # the observed deadlock shape
     assert autosize_pool(4) == 2      # unchanged from the old rule
     assert autosize_pool(32) == 16    # unchanged at full width
-    # fractional actors: 0.5-cpu actors on 2 cpus leave a read slot
-    assert autosize_pool(2, 0.5) == 2
-    # multi-cpu actors never round down into a whole-cluster pool
-    for total in range(3, 65):
-        size = autosize_pool(total, 2.0)
-        assert 1 <= size and size * 2.0 <= total - 1, (total, size)
-    # degenerate sessions where ANY pool would hold every CPU must
+    # a degenerate session where ANY pool would hold every CPU must
     # raise, not return the deadlock shape the max(1, ...) floor
-    # used to produce (1 actor on a 1-cpu session, one 2-cpu actor
-    # on a 2-cpu session)
+    # used to produce (1 actor on a 1-cpu session)
     import pytest
     with pytest.raises(ValueError):
         autosize_pool(1)
-    with pytest.raises(ValueError):
-        autosize_pool(2, 2.0)

@@ -71,6 +71,38 @@ def test_semi_anti_join_paths_agree(ray_session):
                                       obj=fn.__name__)
 
 
+@pytest.mark.parametrize("anti", [False, True], ids=["semi", "anti"])
+@pytest.mark.parametrize("keys", [[3, 5, 5, 8, 42], [100, 101], []],
+                         ids=["present", "absent", "empty"])
+def test_semi_join_legs_match_isin(ray_session, keys, anti):
+    """``_semi_join``'s broadcast and join legs both keep exactly the
+    rows a pandas ``isin`` keeps, for keys present in the input and
+    keys absent from it. ``broadcast_max=0`` forces the join for any
+    non-empty key set. An empty key set takes the broadcast leg even at
+    ``broadcast_max=-1``: Ray's hash join fails on an empty side."""
+    import numpy as np
+    import ray
+
+    from wine_label_ocr_ray.pipelines._qutil import ensure_columns
+    from wine_label_ocr_ray.pipelines.queries_rel import _semi_join
+    probe = pd.DataFrame({"k": np.arange(12, dtype=np.int64),
+                          "v": [f"r{i}" for i in range(12)]})
+    keys_df = pd.DataFrame({"key": pd.Series(keys, dtype="int64"),
+                            "w": np.arange(len(keys), dtype=np.int64)})
+    want = _normalize(probe[probe.k.isin(keys_df.key) != anti])
+    for broadcast_max, leg in (
+            (10**9, "MapBatches(member)"),
+            (0, "Join") if keys else (-1, "MapBatches(member)")):
+        ds = _semi_join(ray.data.from_pandas(probe), "k",
+                        ray.data.from_pandas(keys_df), "key", anti=anti,
+                        broadcast_max=broadcast_max)
+        assert leg in str(ds._logical_plan.dag), (broadcast_max, leg)
+        # Ray gives an all-empty result no columns
+        got = ensure_columns(ds.to_pandas(), probe.columns)
+        pd.testing.assert_frame_equal(_normalize(got), want,
+                                      check_dtype=False, obj=f"{leg} leg")
+
+
 def test_rows_only_queries_run(ray_session):
     """Queries without SQL oracles still must run and return stable,
     non-degenerate results."""

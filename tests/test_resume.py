@@ -134,8 +134,8 @@ def test_config_hash_default_backcompat():
     for k, v in changed.items():
         assert _config_hash(PipelineConfig(**{k: v})) != legacy, k
     # pool, batch and debug settings do not
-    for k, v in {"media_batch_size": 16, "media_concurrency": (1, 3),
-                 "media_num_cpus": 0.5, "debug_out": "debug"}.items():
+    for k, v in {"media_batch_size": 16, "media_concurrency": 3,
+                 "debug_out": "debug"}.items():
         assert _config_hash(PipelineConfig(**{k: v})) == legacy, k
 
 

@@ -9,7 +9,7 @@ functions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 
 @dataclass
@@ -28,19 +28,19 @@ class PipelineConfig:
     # final_run_ocr.py:187-297); real adapters honor this bound
     sweep_max_variants: int = 75
 
-    # physical execution. media_concurrency=None -> autosize to half the
-    # cluster CPUs (min 2): a pool reserving every CPU starves the read
-    # and the pipeline serializes (or deadlocks).
-    media_concurrency: Union[int, Tuple[int, int], None] = None
-    # documents (not spans) per media-actor batch. A parquet read plans
-    # blocks of about this many or fewer (whole rounds of the actor
-    # pool), each block one batch, so the batch's fixed cost (read
-    # block, actor call, write task) is paid once per block; where that
-    # would be Ray's own block count or more, Ray reads and cuts batches
-    # of this many. The actor bounds media memory by media spans per
-    # pass either way.
+    # physical execution: the media actor pool's size (one CPU per
+    # actor). None -> autosize to half the cluster CPUs (min 2), never
+    # all of them: a pool reserving every CPU starves the read and the
+    # pipeline serializes (or deadlocks).
+    media_concurrency: Optional[int] = None
+    # documents (not spans) per media-actor batch. A parquet input is
+    # read by the planned shard reader in blocks of about this many or
+    # fewer, in whole rounds of the actor pool, each block one batch,
+    # so the batch's fixed cost (read block, actor call, write task) is
+    # paid once per block; a Lance input is read by Ray and cut into
+    # batches of this many. The actor bounds media memory by media
+    # spans per pass either way.
     media_batch_size: int = 4096
-    media_num_cpus: float = 1.0
 
     # blob-leg options (hybrid.py:277-289 kwargs)
     crop_label: bool = False

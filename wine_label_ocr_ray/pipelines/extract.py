@@ -94,7 +94,7 @@ class DocMediaExtract:
         return self._records(docs)
 
 
-def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
+def autosize_pool(total_cpus: int) -> int:
     """Actor-pool size for the media stage: half the cluster, but never
     the WHOLE cluster — the upstream ReadParquet task needs one free CPU
     slot or the stream deadlocks (observed at a 2-cpu session: 2 pinned
@@ -103,14 +103,12 @@ def autosize_pool(total_cpus: int, num_cpus_per_actor: float = 1.0) -> int:
     Raises ``ValueError`` when no pool can satisfy that invariant (a
     session so small that even ONE actor would hold every CPU) instead
     of returning a pool that deadlocks the stream."""
-    cap = int((total_cpus - 1) / num_cpus_per_actor)
-    if cap < 1:
+    if total_cpus < 2:
         raise ValueError(
             f"session too small for the actor pool: {total_cpus} CPUs "
-            f"cannot host one {num_cpus_per_actor}-cpu actor and still "
-            f"leave the upstream read a schedulable slot")
-    size = max(2, int(total_cpus * 0.5 / num_cpus_per_actor))
-    return min(size, cap)
+            f"cannot host one actor and still leave the upstream read a "
+            f"schedulable slot")
+    return min(max(2, total_cpus // 2), total_cpus - 1)
 
 
 def read_blocks(rows: int, batch: int, pool: int) -> int:
@@ -141,7 +139,7 @@ def build_extract_pipeline(corpus_dir: str,
     if concurrency is None:
         total_cpus = int(ray.cluster_resources().get("CPU", 4)) \
             if ray.is_initialized() else 4
-        concurrency = autosize_pool(total_cpus, cfg.media_num_cpus)
+        concurrency = autosize_pool(total_cpus)
 
     files = document_files(corpus_dir) if doc_files is None else doc_files
     if files is None:
@@ -154,11 +152,9 @@ def build_extract_pipeline(corpus_dir: str,
         # several blocks' and actor calls' fixed costs
         source = DocumentShards(files, footers,
                                 include_paths=doc_files is not None)
-        pool = concurrency if isinstance(concurrency, int) \
-            else max(concurrency)
         docs = ray.data.read_datasource(
             source, override_num_blocks=read_blocks(
-                source.num_rows, cfg.media_batch_size, pool))
+                source.num_rows, cfg.media_batch_size, concurrency))
         # a block is one batch: a batch size would make Ray join blocks
         # smaller than it into one call
         batch = None
@@ -186,7 +182,7 @@ def build_extract_pipeline(corpus_dir: str,
         # then calls the actor once per file, not once per block
         max_restarts=-1,
         concurrency=concurrency,
-        num_cpus=cfg.media_num_cpus,
+        num_cpus=1,
     )
     # a planned block is a whole batch: hand each to whichever actor is
     # free, not up to Ray's default of 4 queued per actor, which leaves

@@ -6,20 +6,24 @@ Every function takes ``sf_dir`` and returns a small pandas DataFrame /
 Dataset; each has a DuckDB oracle twin in queries.py with IDENTICAL
 column names (driver hash-compares sorted columns). Float outputs are
 rounded to 3+ decimals on both sides (see _qutil.round_df).
+
+The semi- and anti-joins (q3's customer filter, ``q4_semi_join``,
+``anti_join_customers``) share one volume-gated implementation,
+``_semi_join``; their ``broadcast_max`` keyword forces either leg.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Optional
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from ray.data.aggregate import Count, Sum
 
-from ._qutil import join_partitions, one_row, read_table, round_df
+from ._qutil import empty_frame, join_partitions, one_row, read_table
 
 # ---------------------------------------------------------------- q1
 
@@ -196,45 +200,66 @@ SELECT o_orderpriority, count(*) AS n FROM (
 
 # ------------------------------------------------------------- joins
 
+# Distinct-key count up to which ``_semi_join`` broadcasts its key set
+# instead of joining (the same volume-routing shape as
+# minhash_lsh_pairs' verify legs, queries_docs.py).
+SEMI_BROADCAST_MAX = 500_000
+
+
+def _semi_join(ds, col: str, keys_from, key_col: str, *, anti: bool,
+               broadcast_max: int):
+    """Rows of ``ds`` whose ``col`` is (``anti``: is not) among the
+    ``key_col`` values of ``keys_from``. The key set is a distributed
+    distinct (per-batch partial dedup, then a groupby) and is
+    volume-gated: up to ``broadcast_max`` distinct keys (and always
+    when there are none) it is pulled once and broadcast (``ray.put`` + ``np.isin``); above, it never
+    lands on the driver — a distributed ``left_semi`` / ``left_anti``
+    ``Dataset.join`` co-partitions ``ds`` against the key Dataset (the
+    100-TB form; at that scale keys are billions of rows)."""
+    keys_ds = (keys_from.map_batches(
+                   lambda t: pa.table({col: pc.unique(t[key_col])}),
+                   batch_format="pyarrow")
+               .groupby(col).aggregate(Count(alias_name="_n"))
+               .drop_columns(["_n"])
+               .materialize())
+    nkeys = keys_ds.count()
+    # no key set reaches the join empty: Ray's hash join fails on an
+    # empty side, and the broadcast leg needs no keys
+    if nkeys > max(broadcast_max, 0):
+        return ds.join(keys_ds, join_type="left_anti" if anti else "left_semi",
+                       num_partitions=max(2, min(join_partitions(),
+                                                 nkeys // 200_000 + 2)),
+                       on=(col,))
+    keys = keys_ds.to_pandas()[col].to_numpy() \
+        if nkeys else np.array([], dtype=np.int64)
+    ref = ray.put(np.sort(keys.astype(np.int64)))
+
+    def member(t: pa.Table) -> pa.Table:
+        return t.filter(pa.array(np.isin(
+            t[col].to_numpy(zero_copy_only=False), ray.get(ref),
+            invert=anti)))
+
+    return ds.map_batches(member, batch_format="pyarrow")
+
+
 def q3_shipping_priority(sf_dir: str, *,
-                         broadcast_max: Optional[int] = None) -> pd.DataFrame:
+                         broadcast_max: int = SEMI_BROADCAST_MAX
+                         ) -> pd.DataFrame:
     """TPC-H Q3 shape: volume-gated semi-join on the filtered dimension
     (customer segment — ~20% of customer, fact-scale at 100 TB) + hash
     join orders<->lineitem (Dataset.join, hash-partitioned), grouped
-    revenue, top 10. Below ``broadcast_max`` distinct segment keys the
-    set is pulled once and broadcast (ray.put + np.isin); above, a
-    distributed ``left_semi`` Dataset.join keeps it off the driver —
-    the same gate as q4_semi_join / anti_join_customers."""
-    import ray
-    if broadcast_max is None:
-        broadcast_max = _semi_broadcast_max()
-    keys_ds, nkeys = _distinct_keys(
+    revenue, top 10. The segment's customer keys filter the orders
+    through ``_semi_join``."""
+    cutoff = _dt.datetime(1996, 3, 15)
+    orders = _semi_join(
+        read_table(sf_dir, "orders",
+                   columns=["o_orderkey", "o_custkey", "o_orderdate"],
+                   filter=(pc.field("o_orderdate") < pa.scalar(cutoff))),
+        "o_custkey",
         read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"],
                    filter=(pc.field("c_mktsegment") == "BUILDING")),
-        "c_custkey", "o_custkey")
-
-    cutoff = _dt.datetime(1996, 3, 15)
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-                        filter=(pc.field("o_orderdate") < pa.scalar(cutoff)))
-
-    if nkeys <= broadcast_max:
-        hot = keys_ds.to_pandas()["o_custkey"].to_numpy() \
-            if nkeys else np.array([], dtype=np.int64)
-        keys_ref = ray.put(np.sort(hot.astype(np.int64)))
-
-        def semi(t: pa.Table) -> pa.Table:
-            keys = ray.get(keys_ref)
-            mask = np.isin(t["o_custkey"].to_numpy(zero_copy_only=False),
-                           keys)
-            return t.filter(pa.array(mask)).drop_columns(["o_custkey"])
-
-        orders = orders.map_batches(semi, batch_format="pyarrow")
-    else:
-        nparts = max(2, min(join_partitions(), nkeys // 200_000 + 2))
-        orders = orders.join(keys_ds, join_type="left_semi",
-                             num_partitions=nparts,
-                             on=("o_custkey",)).drop_columns(["o_custkey"])
+        "c_custkey", anti=False,
+        broadcast_max=broadcast_max).drop_columns(["o_custkey"])
 
     li = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_extendedprice", "l_discount",
@@ -285,8 +310,6 @@ def q5_region_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q5 shape: small dims (region/nation/customer/supplier)
     broadcast as lookup arrays; the two big tables join hash-
     partitioned; revenue grouped by nation name."""
-    import ray
-
     from ._qutil import probe_sorted, sorted_lookup
     nation = read_table(sf_dir, "nation",
                         columns=["n_nationkey", "n_name", "n_regionkey"]
@@ -498,8 +521,7 @@ def events_asof_click(sf_dir: str) -> pd.DataFrame:
         p = g[g.is_purchase].sort_values("ts")
         c = g[~g.is_purchase].sort_values("ts")
         if p.empty or c.empty:
-            return pd.DataFrame({"event_id": pd.Series([], dtype="int64"),
-                                 "click_id": pd.Series([], dtype="int64")})
+            return empty_frame(event_id="int64", click_id="int64")
         m = pd.merge_asof(p[["event_id", "ts"]],
                           c[["event_id", "ts"]].rename(
                               columns={"event_id": "click_id"}),
@@ -636,65 +658,17 @@ FROM events GROUP BY user_id
 """
 
 
-def _distinct_keys(ds, src_col: str, out_col: str):
-    """Fact-side distinct key set as a DATASET (never on the driver):
-    per-batch partial dedup (only distinct keys leave each batch) then
-    a distributed groupby. Returns (materialized 1-col Dataset, count)."""
-    keys = (ds.map_batches(
-                lambda t: pa.table({out_col: pc.unique(t[src_col])}),
-                batch_format="pyarrow")
-              .groupby(out_col).aggregate(Count(alias_name="_n"))
-              .drop_columns(["_n"])
-              .materialize())
-    return keys, keys.count()
-
-
-def _semi_broadcast_max() -> int:
-    """Key-count gate between the broadcast-isin membership filter and
-    the distributed semi/anti `Dataset.join` (same volume-routing shape
-    as minhash_lsh_pairs' verify legs, queries_docs.py)."""
-    import os
-    return int(os.environ.get("WLOR_SEMI_BROADCAST_MAX", 500_000))
-
-
 def q4_semi_join(sf_dir: str, *,
-                 broadcast_max: Optional[int] = None) -> pd.DataFrame:
+                 broadcast_max: int = SEMI_BROADCAST_MAX) -> pd.DataFrame:
     """Semi-join (TPC-H Q4 shape): orders per priority having at least
-    one high-quantity lineitem. The fact-derived key set is built as a
-    distributed distinct (partial per-batch dedup -> groupby) and
-    volume-gated: below ``broadcast_max`` distinct keys it is pulled
-    once and broadcast (``ray.put`` + np.isin membership filter); above
-    it NEVER lands on the driver — a distributed ``left_semi``
-    ``Dataset.join`` co-partitions orders against the key Dataset
-    (the 100-TB form; at that scale keys are billions of rows)."""
-    import ray
-    if broadcast_max is None:
-        broadcast_max = _semi_broadcast_max()
-    keys_ds, nkeys = _distinct_keys(
-        read_table(sf_dir, "lineitem",
-                   columns=["l_orderkey", "l_quantity"],
+    one high-quantity lineitem, through ``_semi_join`` on the
+    fact-derived order-key set."""
+    matched = _semi_join(
+        read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"]),
+        "o_orderkey",
+        read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"],
                    filter=(pc.field("l_quantity") > 45.0)),
-        "l_orderkey", "o_orderkey")
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_orderpriority"])
-
-    if nkeys <= broadcast_max:
-        hot = keys_ds.to_pandas()["o_orderkey"].to_numpy() \
-            if nkeys else np.array([], dtype=np.int64)
-        ref = ray.put(np.sort(hot.astype(np.int64)))
-
-        def semi(t: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            mask = np.isin(t["o_orderkey"].to_numpy(zero_copy_only=False),
-                           keys)
-            return t.filter(pa.array(mask))
-
-        matched = orders.map_batches(semi, batch_format="pyarrow")
-    else:
-        nparts = max(2, min(join_partitions(), nkeys // 200_000 + 2))
-        matched = orders.join(keys_ds, join_type="left_semi",
-                              num_partitions=nparts, on=("o_orderkey",))
-
+        "l_orderkey", anti=False, broadcast_max=broadcast_max)
     return (matched.groupby("o_orderpriority")
                    .aggregate(Count(alias_name="n")).to_pandas())
 
@@ -708,45 +682,21 @@ GROUP BY o_orderpriority
 
 
 def anti_join_customers(sf_dir: str, *,
-                        broadcast_max: Optional[int] = None) -> pd.DataFrame:
+                        broadcast_max: int = SEMI_BROADCAST_MAX
+                        ) -> pd.DataFrame:
     """Anti-join: customers with no HIGH-VALUE order (totalprice >
-    300000), counted per segment. Same volume gate as ``q4_semi_join``:
-    the fact-derived key set broadcasts (negated np.isin) only below
-    ``broadcast_max`` distinct keys; above, a distributed ``left_anti``
-    ``Dataset.join`` keeps the keys off the driver entirely."""
-    import ray
-    if broadcast_max is None:
-        broadcast_max = _semi_broadcast_max()
-    keys_ds, nkeys = _distinct_keys(
-        read_table(sf_dir, "orders",
-                   columns=["o_custkey", "o_totalprice"],
+    300000), counted per segment, through ``_semi_join`` with
+    ``anti=True`` on the fact-derived customer-key set."""
+    kept = _semi_join(
+        read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]),
+        "c_custkey",
+        read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"],
                    filter=(pc.field("o_totalprice") > 300000.0)),
-        "o_custkey", "c_custkey")
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_mktsegment"])
-
-    if nkeys <= broadcast_max:
-        have = keys_ds.to_pandas()["c_custkey"].to_numpy() \
-            if nkeys else np.array([], dtype=np.int64)
-        ref = ray.put(np.sort(have.astype(np.int64)))
-
-        def anti(t: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            mask = ~np.isin(t["c_custkey"].to_numpy(zero_copy_only=False),
-                            keys)
-            return t.filter(pa.array(mask))
-
-        kept = cust.map_batches(anti, batch_format="pyarrow")
-    else:
-        nparts = max(2, min(join_partitions(), nkeys // 200_000 + 2))
-        kept = cust.join(keys_ds, join_type="left_anti",
-                         num_partitions=nparts, on=("c_custkey",))
-
+        "o_custkey", anti=True, broadcast_max=broadcast_max)
     out = (kept.groupby("c_mktsegment")
                .aggregate(Count(alias_name="n")).to_pandas())
     if out.empty:  # Ray drops the schema of an all-empty aggregate
-        out = pd.DataFrame({"c_mktsegment": pd.Series(dtype=object),
-                            "n": pd.Series(dtype="int64")})
+        out = empty_frame(c_mktsegment=object, n="int64")
     return out
 
 
@@ -763,8 +713,6 @@ def top_orders_per_segment(sf_dir: str) -> pd.DataFrame:
     dictionary-encoded customer->segment lookup — sorted int keys +
     uint8 segment codes, probed with np.searchsorted — then per-group
     head after sort)."""
-    import ray
-
     from ._qutil import probe_sorted, sorted_lookup
     keys, segs = sorted_lookup(
         read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]),

@@ -10,7 +10,10 @@
 - ``blob_near_dup_pairs``: D4 geometric near-dup
   (``similarity_functions/BlobSimilarity.py:105-144``) over candidate
   pairs blocked by vintage (the reference's J2 blocking key reused) —
-  pairwise scoring only within blocks, never all-to-all.
+  pairwise scoring only within blocks, never all-to-all. A hot vintage
+  is salted into sub-block pairs, and one function,
+  ``blob_pairs_in_block``, scores a whole block and a salted group
+  alike (a whole block is the diagonal case).
 """
 
 from __future__ import annotations
@@ -351,17 +354,22 @@ def decide_distributed(probe_ds, db_ds, *, maker_threshold: int = 85,
 
 def blob_pairs_in_block(g: pd.DataFrame, *, threshold: float,
                         pair_threshold: float) -> pd.DataFrame:
-    """Pairwise blob similarity within one vintage block."""
+    """Pairwise blob similarity within one block: a whole vintage
+    block, or a salted (vintage, sub-block-pair) group. A whole block
+    and a diagonal group (a, a) own all their pairs; an off-diagonal
+    group (a, b) owns only CROSS pairs (one row of each sub-block) —
+    same-sub pairs there belong to the diagonal group."""
     rows = g.sort_values("doc_id").to_dict("records")
     blobs = [r["blob"] for r in rows]  # struct -> dict, no JSON parse
+    diag = bool(rows[0].get("diag", True)) if rows else True
     out = {"doc_a": [], "doc_b": [], "blob_score": [], "similar": []}
     for i in range(len(rows)):
-        bi = blobs[i]
         for j in range(i + 1, len(rows)):
-            bj = blobs[j]
+            if not diag and rows[i]["my_sub"] == rows[j]["my_sub"]:
+                continue
             similar, details = blob_similarity(
-                bi, bj, threshold=threshold, pair_threshold=pair_threshold,
-                return_details=True)
+                blobs[i], blobs[j], threshold=threshold,
+                pair_threshold=pair_threshold, return_details=True)
             if details["score"] > 0.0:
                 out["doc_a"].append(rows[i]["doc_id"])
                 out["doc_b"].append(rows[j]["doc_id"])
@@ -390,6 +398,7 @@ def blob_near_dup_pairs(records_ds, *, threshold: float = 0.55,
     over S*(S+1)/2 tasks. Needs the per-vintage counts first (a tiny
     grouped count, broadcast to the salting stage).
     """
+    import functools
     import math
 
     import pyarrow.compute as pc
@@ -412,6 +421,8 @@ def blob_near_dup_pairs(records_ds, *, threshold: float = 0.55,
                          "blob": t2["blob"]})
 
     prepped = records_ds.map_batches(prep, batch_format="pyarrow")
+    fn = functools.partial(blob_pairs_in_block, threshold=threshold,
+                           pair_threshold=pair_threshold)
 
     if max_block_rows is not None:
         # tiny grouped count -> S per vintage, broadcast
@@ -437,44 +448,9 @@ def blob_near_dup_pairs(records_ds, *, threshold: float = 0.55,
                                                   "blob", "sub",
                                                   "my_sub", "diag"])
 
-            import functools
-            fn = functools.partial(_block_pair_fn, threshold=threshold,
-                                   pair_threshold=pair_threshold)
             return (prepped.map_batches(salt, batch_format="pandas")
                     .groupby(["vintage", "sub"])
                     .map_groups(fn, batch_format="pandas"))
 
-    import functools
-    fn = functools.partial(blob_pairs_in_block, threshold=threshold,
-                           pair_threshold=pair_threshold)
     return (prepped.groupby("vintage")
                    .map_groups(fn, batch_format="pandas"))
-
-
-def _block_pair_fn(g: pd.DataFrame, *, threshold: float,
-                   pair_threshold: float) -> pd.DataFrame:
-    """Pairwise scoring within a salted (vintage, sub-block-pair)
-    group. A diagonal group (a, a) owns all within-a pairs; an
-    off-diagonal group (a, b) owns only CROSS pairs (one row of each
-    sub-block) — same-sub pairs there belong to the diagonal group."""
-    rows = g.sort_values("doc_id").to_dict("records")
-    blobs = [r["blob"] for r in rows]  # struct -> dict, no JSON parse
-    diag = bool(rows[0]["diag"]) if rows else True
-    out = {"doc_a": [], "doc_b": [], "blob_score": [], "similar": []}
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if not diag and rows[i]["my_sub"] == rows[j]["my_sub"]:
-                continue
-            similar, details = blob_similarity(
-                blobs[i], blobs[j], threshold=threshold,
-                pair_threshold=pair_threshold, return_details=True)
-            if details["score"] > 0.0:
-                out["doc_a"].append(rows[i]["doc_id"])
-                out["doc_b"].append(rows[j]["doc_id"])
-                out["blob_score"].append(round(details["score"], 6))
-                out["similar"].append(bool(similar))
-    return pd.DataFrame(out) if out["doc_a"] else pd.DataFrame(
-        {"doc_a": pd.Series([], dtype="object"),
-         "doc_b": pd.Series([], dtype="object"),
-         "blob_score": pd.Series([], dtype="float64"),
-         "similar": pd.Series([], dtype="bool")})

@@ -56,16 +56,33 @@ class DeterministicFakeBackend(DecodeBackend):
                            dtype=np.uint8)
 
 
+def _backend(name: str) -> DecodeBackend:
+    """A stage's backend, selected once per actor: ``"fake"`` is the
+    deterministic stand-in, any other name the stub that raises on
+    first use."""
+    return DeterministicFakeBackend() if name == "fake" else DecodeBackend()
+
+
+def _map_payloads(stage, media_path: str, *, batch_size: int,
+                  concurrency: int, **stage_kwargs):
+    """media parquet (media_ref, payload) -> ``stage`` run as an actor
+    pool over it."""
+    import ray.data as rd
+
+    from .._rayprep import ensure_serializable
+    ensure_serializable()
+    return rd.read_parquet(media_path).map_batches(
+        stage, fn_constructor_kwargs=stage_kwargs, batch_format="pyarrow",
+        batch_size=batch_size, concurrency=concurrency)
+
+
 class ImageFeatureStage:
     """Actor-pool stage: payload binary -> per-image features
-    (dims, mean/std intensity, 8-bin histogram). Backend selected once
-    per actor; batches should stay small for large payloads."""
+    (dims, mean/std intensity, 8-bin histogram). Batches should stay
+    small for large payloads."""
 
     def __init__(self, backend: str = "fake", resize_to: Optional[int] = None):
-        if backend == "fake":
-            self.backend: DecodeBackend = DeterministicFakeBackend()
-        else:
-            self.backend = DecodeBackend()  # raises on first use
+        self.backend = _backend(backend)
         self.resize_to = resize_to
 
     @staticmethod
@@ -103,15 +120,9 @@ class ImageFeatureStage:
 def image_features(media_path: str, *, backend: str = "fake",
                    batch_size: int = 64, concurrency: int = 2):
     """media parquet (media_ref, payload) -> feature Dataset."""
-    import ray.data as rd
-
-    from .._rayprep import ensure_serializable
-    ensure_serializable()
-    ds = rd.read_parquet(media_path)
-    return ds.map_batches(ImageFeatureStage,
-                          fn_constructor_kwargs=dict(backend=backend),
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return _map_payloads(ImageFeatureStage, media_path,
+                         batch_size=batch_size, concurrency=concurrency,
+                         backend=backend)
 
 
 class VideoFrameSampleStage:
@@ -120,14 +131,11 @@ class VideoFrameSampleStage:
     (ffmpeg in production, the deterministic fake here), reduces each
     frame to its mean intensity, and emits per-video temporal
     features: per-frame means, and the mean absolute delta between
-    consecutive frames (a scene-motion proxy). Backend constructed
-    once per actor; batches stay small because video rows are large."""
+    consecutive frames (a scene-motion proxy). Batches stay small
+    because video rows are large."""
 
     def __init__(self, backend: str = "fake", n_frames: int = 4):
-        if backend == "fake":
-            self.backend: DecodeBackend = DeterministicFakeBackend()
-        else:
-            self.backend = DecodeBackend()  # raises on first use
+        self.backend = _backend(backend)
         self.n_frames = n_frames
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -152,13 +160,6 @@ def video_frame_features(media_path: str, *, backend: str = "fake",
                          n_frames: int = 4, batch_size: int = 32,
                          concurrency: int = 2):
     """media parquet (media_ref, payload) -> frame-sampled features."""
-    import ray.data as rd
-
-    from .._rayprep import ensure_serializable
-    ensure_serializable()
-    ds = rd.read_parquet(media_path)
-    return ds.map_batches(VideoFrameSampleStage,
-                          fn_constructor_kwargs=dict(
-                              backend=backend, n_frames=n_frames),
-                          batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=concurrency)
+    return _map_payloads(VideoFrameSampleStage, media_path,
+                         batch_size=batch_size, concurrency=concurrency,
+                         backend=backend, n_frames=n_frames)
